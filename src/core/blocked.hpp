@@ -135,10 +135,12 @@ template <class I>
 
 /// Extracts one BlockSlice per column block of `source`. Because CSR rows
 /// are sorted, each row is walked exactly once, splitting at the block
-/// boundaries; total cost O(nnz + rows × blocks).
+/// boundaries; total cost O(nnz + rows × blocks). `parallel` = false keeps
+/// both passes serial (see the four-argument parallel_for).
 template <class T, class I>
 [[nodiscard]] std::vector<BlockSlice<I>> extract_block_slices(
-    const Csr<T, I>& source, std::span<const I> block_begin) {
+    const Csr<T, I>& source, std::span<const I> block_begin,
+    bool parallel = true) {
   require(block_begin.size() >= 2,
           "extract_block_slices: need at least one block");
   const std::size_t blocks = block_begin.size() - 1;
@@ -153,7 +155,7 @@ template <class T, class I>
   // Pass 1 (parallel over rows): segment boundaries. Row i's count for
   // block t lands in row_ptr[i + 1] (prefixed in pass 2); entry_begin is
   // final immediately.
-  parallel_for(I{0}, rows, [&](I i) {
+  parallel_for(I{0}, rows, parallel, [&](I i) {
     const auto r = static_cast<std::size_t>(i);
     auto p = static_cast<std::size_t>(row_ptr[r]);
     const auto end = static_cast<std::size_t>(row_ptr[r + 1]);
@@ -170,7 +172,7 @@ template <class T, class I>
   });
   // Pass 2 (parallel over blocks): prefix the counts and pack the
   // block-local columns.
-  parallel_for(std::size_t{0}, blocks, [&](std::size_t t) {
+  parallel_for(std::size_t{0}, blocks, parallel, [&](std::size_t t) {
     BlockSlice<I>& slice = slices[t];
     for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r) {
       slice.row_ptr[r + 1] =
@@ -224,7 +226,7 @@ struct BlockedLayout {
 template <class T, class I>
 [[nodiscard]] BlockedLayout<I> build_blocked_layout(
     const Csr<T, I>& mask, const Csr<T, I>& b, std::span<const Tile> row_tiles,
-    std::int64_t block_cols) {
+    std::int64_t block_cols, bool parallel = true) {
   BlockedLayout<I> layout;
   layout.block_begin = make_column_blocks(b.cols(), block_cols);
   const auto blocks = static_cast<std::size_t>(layout.num_blocks());
@@ -233,8 +235,10 @@ template <class T, class I>
         layout.block_width,
         layout.block_begin[t + 1] - layout.block_begin[t]);
   }
-  layout.b_blocks = extract_block_slices(b, std::span<const I>(layout.block_begin));
-  layout.m_blocks = extract_block_slices(mask, std::span<const I>(layout.block_begin));
+  layout.b_blocks = extract_block_slices(
+      b, std::span<const I>(layout.block_begin), parallel);
+  layout.m_blocks = extract_block_slices(
+      mask, std::span<const I>(layout.block_begin), parallel);
   const auto rows = static_cast<std::size_t>(mask.rows());
   for (std::size_t t = 0; t < blocks; ++t) {
     const BlockSlice<I>& slice = layout.m_blocks[t];

@@ -14,10 +14,11 @@
 // single-call path), and the pool interleaves tasks from every in-flight
 // job: a skewed query cannot idle the machine while others have runnable
 // tiles. Plans are cached engine-wide by (structural fingerprint, config),
-// so repeat structures skip the analyze phase entirely; accumulators come
-// from engine-wide per-worker workspace pools and driver buffers are
-// recycled across jobs — a warm engine performs no steady-state
-// allocations beyond each query's output.
+// so repeat structures skip the analyze phase entirely, and a miss builds
+// outside the cache lock, once per key however many submitters race on
+// it. Accumulators come from engine-wide per-worker workspace pools and
+// driver buffers are recycled across jobs — a warm engine performs no
+// steady-state allocations beyond each query's output.
 //
 // Serving (docs/SERVING.md): every submission is priced by the plan's
 // Eq-2 FLOP total — free on a plan-cache hit — and classified cheap or
@@ -63,6 +64,7 @@
 // Prometheus gauge, and /healthz (503 once browned out).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -70,6 +72,7 @@
 #include <cstdio>
 #include <deque>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -245,6 +248,7 @@ struct EngineStats {
   std::uint64_t deadline_misses = 0; ///< jobs cancelled past their deadline
   std::uint64_t plan_builds = 0;     ///< structure phases actually run
   std::uint64_t plan_hits = 0;       ///< submissions served from the plan cache
+                                     ///< (incl. waiters on a concurrent build)
   std::uint64_t tasks_executed = 0;  ///< pool tasks run (tiles + finalizers)
   std::uint64_t tasks_stolen = 0;    ///< tasks taken from another worker's queue
   std::uint64_t in_flight = 0;       ///< jobs admitted but not yet finished
@@ -521,7 +525,11 @@ class Engine {
     const Csr<T, I>* b = nullptr;
     std::shared_ptr<const PlanEntry> entry;
     std::unique_ptr<detail::DriverBuffers<T, I>> buffers;
-    std::once_flag buffers_once;  ///< first task binds `buffers`
+    /// Set once the first task bound `buffers` (under buffers_mutex). Not
+    /// a std::once_flag: under ThreadSanitizer a std::call_once whose bind
+    /// threw stays locked, and the retry attempt's first task hangs.
+    std::atomic<bool> buffers_bound{false};
+    std::mutex buffers_mutex;
     std::int64_t task_count = 0;
     std::atomic<std::int64_t> remaining{0};
     ParallelGuard guard;
@@ -609,7 +617,8 @@ class Engine {
     }
     bool cache_hit = false;
     std::shared_ptr<const PlanEntry> entry =
-        plan_for(mask, a, b, config, fingerprint, cache_hit);
+        plan_for(mask, a, b, config, fingerprint, /*parallel=*/true,
+                 cache_hit);
     const double plan_ms = cache_hit ? 0.0 : entry->plan.info.build_ms;
     const auto flops =
         static_cast<std::uint64_t>(std::max<std::int64_t>(
@@ -779,18 +788,30 @@ class Engine {
 #endif
   }
 
-  /// Plan-cache lookup keyed by (structural fingerprint, config); builds
-  /// and binds a new entry on miss. Builds run on the submitting thread
-  /// (OpenMP is safe there, unlike on pool workers) while holding the
-  /// cache lock, which serializes duplicate builders and keeps the
-  /// plan_builds/plan_hits accounting exact under concurrent submission.
+  /// Plan-cache lookup keyed by (structural fingerprint, config), which
+  /// must be the fingerprint of the live (mask, a, b). A miss builds and
+  /// binds the entry on the calling thread with plan_mutex_ released, so a
+  /// cold build never stalls other lookups. A per-key once-latch
+  /// (`building_`) makes concurrent misses on one key build once: the
+  /// first caller builds, the others wait on its future and count as hits,
+  /// and a failed build reaches every waiter and leaves no latch behind.
+  /// `parallel` = false keeps the structure phase serial, for callers on
+  /// pool workers (the retry replan); with true, operands below
+  /// detail::kSerialPlanCutoff still plan serially.
   std::shared_ptr<const PlanEntry> plan_for(const Csr<T, I>& mask,
                                             const Csr<T, I>& a,
                                             const Csr<T, I>& b,
                                             const Config& config,
                                             std::uint64_t fingerprint,
-                                            bool& cache_hit) {
-    const std::lock_guard<std::mutex> lock(plan_mutex_);
+                                            bool parallel, bool& cache_hit) {
+    const auto pending = [&] {  // call with plan_mutex_ held
+      return std::find_if(building_.begin(), building_.end(),
+                          [&](const PendingBuild& p) {
+                            return p.fingerprint == fingerprint &&
+                                   p.config == config;
+                          });
+    };
+    std::unique_lock<std::mutex> lock(plan_mutex_);
     // Newest-first scan: serving workloads resubmit recent structures.
     for (auto it = plans_.rbegin(); it != plans_.rend(); ++it) {
       if ((*it)->plan.info.fingerprint == fingerprint &&
@@ -800,17 +821,44 @@ class Engine {
         return *it;
       }
     }
-    WallTimer build;
-    auto entry = std::make_shared<PlanEntry>();
-    entry->plan = detail::build_plan(mask, a, b, config);
-    entry->config = config;
-    entry->plan.info.build_ms = build.milliseconds();
-    bind_entry(*entry);
+    if (const auto latch = pending(); latch != building_.end()) {
+      const std::shared_future<std::shared_ptr<const PlanEntry>> result =
+          latch->result;
+      lock.unlock();
+      std::shared_ptr<const PlanEntry> entry = result.get();  // may rethrow
+      lock.lock();
+      ++plan_hits_;
+      cache_hit = true;
+      return entry;
+    }
+    std::promise<std::shared_ptr<const PlanEntry>> built;
+    building_.push_back({fingerprint, config, built.get_future().share()});
+    lock.unlock();
+    std::shared_ptr<PlanEntry> entry;
+    try {
+      WallTimer build;
+      entry = std::make_shared<PlanEntry>();
+      entry->plan =
+          detail::build_plan(mask, a, b, config, fingerprint, parallel);
+      entry->config = config;
+      entry->plan.info.build_ms = build.milliseconds();
+      bind_entry(*entry);
+    } catch (...) {
+      lock.lock();
+      building_.erase(pending());
+      lock.unlock();
+      built.set_exception(std::current_exception());
+      throw;
+    }
+    lock.lock();
+    building_.erase(pending());
     ++plan_builds_;
     plans_.push_back(entry);
     if (plans_.size() > std::max<std::size_t>(1, options_.plan_cache_capacity)) {
       plans_.pop_front();  // in-flight jobs keep their shared_ptr alive
     }
+    lock.unlock();
+    built.set_value(entry);
     cache_hit = false;
     return entry;
   }
@@ -865,10 +913,13 @@ class Engine {
                                   static_cast<int>(lane), job->flop_estimate);
     }
     job->since_submit.reset();
-    if (job->task_count == 0) {
+    // Read once: the submitted tasks may fail, finalize and retry, which
+    // rewrites job->task_count, before this loop ends.
+    const std::int64_t task_count = job->task_count;
+    if (task_count == 0) {
       pool_.submit([this, job] { run_task(job, -1); }, lane);
     } else {
-      for (std::int64_t task = 0; task < job->task_count; ++task) {
+      for (std::int64_t task = 0; task < task_count; ++task) {
         pool_.submit([this, job, task] { run_task(job, task); }, lane);
       }
     }
@@ -921,13 +972,18 @@ class Engine {
 
   /// Binds the job's driver buffers on first use, from any worker.
   /// Allocation failures surface through the caller's ParallelGuard wrap
-  /// (an exceptional std::call_once leaves the flag unset, which is fine:
-  /// every later attempt is equally guarded).
+  /// and leave the job unbound, so a later task (or retry) binds again.
   void bind_buffers(Job& job) {
-    std::call_once(job.buffers_once, [&] {
-      job.buffers = acquire_buffers();
-      ensure_buffers_for(job, job.entry->plan);
-    });
+    if (job.buffers_bound.load(std::memory_order_acquire)) {
+      return;
+    }
+    const std::lock_guard<std::mutex> lock(job.buffers_mutex);
+    if (job.buffers_bound.load(std::memory_order_relaxed)) {
+      return;
+    }
+    job.buffers = acquire_buffers();
+    ensure_buffers_for(job, job.entry->plan);
+    job.buffers_bound.store(true, std::memory_order_release);
   }
 
   /// (Re)sizes the job's bound driver buffers for `plan`, charging the
@@ -1628,11 +1684,13 @@ class Engine {
       } else {
         config = degraded_for(action, std::move(config));
       }
-      // plan_for opens an OpenMP region on a pool worker here — a
-      // deliberate tradeoff: retries are rare, and blocking the submit
-      // path on a failed job's replan would cost more.
-      fresh = plan_for(*job->mask, *job->a, *job->b, config,
-                       job->entry->plan.info.fingerprint, cache_hit);
+      // Key the replan by the live operands: after a StaleError the old
+      // plan's fingerprint no longer describes them. Serial, because this
+      // runs on a pool worker.
+      const std::uint64_t fingerprint =
+          detail::structural_fingerprint(*job->mask, *job->a, *job->b);
+      fresh = plan_for(*job->mask, *job->a, *job->b, config, fingerprint,
+                       /*parallel=*/false, cache_hit);
       if (job->buffers != nullptr) {
         // Re-ensure now, before any job state mutates, so an allocation
         // failure here cannot leave a half-retried job behind.
@@ -1679,10 +1737,13 @@ class Engine {
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(delay_ms));
     }
-    if (job->task_count == 0) {
+    // Read once, as in launch: this attempt's tasks may retry again
+    // before the loop ends.
+    const std::int64_t task_count = job->task_count;
+    if (task_count == 0) {
       pool_.submit([this, job] { run_task(job, -1); }, job->lane);
     } else {
-      for (std::int64_t task = 0; task < job->task_count; ++task) {
+      for (std::int64_t task = 0; task < task_count; ++task) {
         pool_.submit([this, job, task] { run_task(job, task); }, job->lane);
       }
     }
@@ -1712,8 +1773,17 @@ class Engine {
   LatencyHistogram queue_hist_;
   LatencyHistogram run_hist_;
 
+  /// A plan build in progress: the once-latch plan_for's duplicate
+  /// cold submitters wait on.
+  struct PendingBuild {
+    std::uint64_t fingerprint = 0;
+    Config config;
+    std::shared_future<std::shared_ptr<const PlanEntry>> result;
+  };
+
   mutable std::mutex plan_mutex_;
   std::deque<std::shared_ptr<const PlanEntry>> plans_;
+  std::vector<PendingBuild> building_;  ///< one per key being built
   std::uint64_t plan_builds_ = 0;
   std::uint64_t plan_hits_ = 0;
 

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -56,14 +57,35 @@ enum class MaskStrategy {
 
 namespace detail {
 
-/// Precomputed log2 comparison for the hybrid switch: co-iterate iff
+/// B-row lengths below this read their log2 from an 8 KB table instead of
+/// calling std::log2.
+inline constexpr std::size_t kLog2TableSize = 1024;
+
+/// log2(max(2, n)) as a double. Below kLog2TableSize the value comes from
+/// a table filled once with the very std::log2 call made above it, so the
+/// two branches agree bit for bit and no κ decision can change.
+[[nodiscard]] inline double log2_at_least_2(std::int64_t n) noexcept {
+  static const std::array<double, kLog2TableSize> table = [] {
+    std::array<double, kLog2TableSize> t{};
+    for (std::size_t v = 0; v < t.size(); ++v) {
+      t[v] = std::log2(static_cast<double>(std::max<std::size_t>(2, v)));
+    }
+    return t;
+  }();
+  if (static_cast<std::uint64_t>(n) < kLog2TableSize) {
+    return table[static_cast<std::size_t>(n)];
+  }
+  return std::log2(static_cast<double>(std::max<std::int64_t>(2, n)));
+}
+
+/// The hybrid switch: co-iterate iff
 /// mask_nnz * log2(b_nnz) < kappa * b_nnz  (Eq 3 vs the linear cost).
-/// Uses std::log2 on doubles; b_nnz == 0 rows are skipped by callers.
+/// b_nnz == 0 rows are skipped by callers.
 [[nodiscard]] inline bool prefer_coiteration(std::int64_t mask_nnz,
                                              std::int64_t b_nnz,
                                              double kappa) noexcept {
   const double co_cost =
-      static_cast<double>(mask_nnz) * std::log2(static_cast<double>(std::max<std::int64_t>(2, b_nnz)));
+      static_cast<double>(mask_nnz) * log2_at_least_2(b_nnz);
   return co_cost < kappa * static_cast<double>(b_nnz);
 }
 

@@ -215,10 +215,10 @@ I accumulator_row_bound(const Csr<T, I>& mask, const Csr<T, I>& a,
 template <class T, class I>
 void build_hybrid_decisions(Plan<I>& plan, const Csr<T, I>& mask,
                             const Csr<T, I>& a, const Csr<T, I>& b,
-                            double kappa) {
+                            double kappa, bool parallel) {
   plan.hybrid_coiterate.assign(static_cast<std::size_t>(a.nnz()), 0);
   const auto a_row_ptr = a.row_ptr();
-  parallel_for(I{0}, a.rows(), [&](I i) {
+  parallel_for(I{0}, a.rows(), parallel, [&](I i) {
     const auto mask_nnz = static_cast<std::int64_t>(mask.row_nnz(i));
     if (mask_nnz == 0) {
       return;  // the kernel skips the row before reading any decision
@@ -233,16 +233,30 @@ void build_hybrid_decisions(Plan<I>& plan, const Csr<T, I>& mask,
   });
 }
 
+/// Operand size, nnz(M) + nnz(A), below which build_plan keeps its loops
+/// serial even when allowed a team (the role kSerialCutoff plays in
+/// exclusive_scan). On small operands an OpenMP team costs more than it
+/// saves, and beside the batch engine's pool workers its threads compete
+/// for the same cores.
+inline constexpr std::int64_t kSerialPlanCutoff = std::int64_t{1} << 15;
+
 /// The structure phase as a free function: validates shapes (and, under
 /// Config::validate_inputs, the operands themselves), builds the
-/// FLOP-balanced tile grid, sizes the accumulator, precomputes hybrid κ
-/// decisions, and fingerprints the operand structure. Executor::plan and
-/// the batch engine's shared plan cache (core/engine.hpp) both delegate
-/// here, so a cached engine plan is the plan the Executor would have built.
-/// Fills everything but PlanInfo::build_ms, which the caller times.
+/// FLOP-balanced tile grid, sizes the accumulator, and precomputes hybrid κ
+/// decisions. `fingerprint` is the caller's structural_fingerprint of
+/// (mask, a, b), stored as PlanInfo::fingerprint, so a caller that already
+/// hashed the operands does not hash them twice. `parallel` = false starts
+/// no OpenMP threads (the batch engine's pool workers pass it);
+/// otherwise operands below kSerialPlanCutoff still plan serially. Both
+/// give the same plan. Executor::plan and the batch engine's shared plan
+/// cache (core/engine.hpp) both delegate here, so a cached engine plan is
+/// the plan the Executor would have built. Fills everything but
+/// PlanInfo::build_ms, which the caller times.
 template <class T, class I>
 [[nodiscard]] Plan<I> build_plan(const Csr<T, I>& mask, const Csr<T, I>& a,
-                                 const Csr<T, I>& b, const Config& config) {
+                                 const Csr<T, I>& b, const Config& config,
+                                 std::uint64_t fingerprint,
+                                 bool parallel = true) {
   require(a.cols() == b.rows(), "plan: inner dimensions must agree");
   require(mask.rows() == a.rows() && mask.cols() == b.cols(),
           "plan: mask shape must equal output shape");
@@ -261,7 +275,10 @@ template <class T, class I>
     require_valid(b, "B");
   }
 
+  parallel = parallel && static_cast<std::int64_t>(mask.nnz() + a.nnz()) >=
+                             kSerialPlanCutoff;
   Plan<I> plan;
+  plan.info.fingerprint = fingerprint;
   plan.two_d = two_d;
   plan.rows = a.rows();
   plan.inner = a.cols();
@@ -278,7 +295,8 @@ template <class T, class I>
     if (config.tiling == Tiling::kFlopBalanced || blocked) {
       // The blocked strategy needs the per-row Eq-2 work even under uniform
       // tiling: hub-row splitting reads it.
-      const std::vector<std::int64_t> prefix = row_work_prefix(mask, a, b);
+      const std::vector<std::int64_t> prefix =
+          row_work_prefix(mask, a, b, parallel);
       plan.flop_total = prefix.empty() ? 0 : prefix.back();
       plan.row_tiles = config.tiling == Tiling::kFlopBalanced
                            ? make_flop_balanced_tiles(prefix, num_tiles)
@@ -298,7 +316,7 @@ template <class T, class I>
       }
     } else {
       // Same Eq-2 total the prefix sums to, without materializing it.
-      plan.flop_total = plan.mask_nnz + total_flops(a, b);
+      plan.flop_total = plan.mask_nnz + total_flops(a, b, parallel);
       plan.row_tiles = make_uniform_tiles(plan.rows, num_tiles);
     }
     if (two_d) {
@@ -314,7 +332,8 @@ template <class T, class I>
         detail::accumulator_row_bound(mask, a, b, config.strategy);
     if (blocked) {
       auto layout = std::make_shared<BlockedLayout<I>>(build_blocked_layout(
-          mask, b, std::span<const Tile>(plan.row_tiles), config.block_cols));
+          mask, b, std::span<const Tile>(plan.row_tiles), config.block_cols,
+          parallel));
       // The sparse per-tile accumulator only ever sees one mask (row, block)
       // segment, so its bound is the largest segment, not the full row.
       plan.accumulator_bound = std::max<I>(I{1}, layout->max_seg_entries);
@@ -335,9 +354,9 @@ template <class T, class I>
     if (!two_d && !blocked && config.strategy == MaskStrategy::kHybrid) {
       // 1D only: the blocked driver re-evaluates κ per (cell, k) against
       // SEGMENT sizes, which the full-row precomputation cannot stand for.
-      build_hybrid_decisions(plan, mask, a, b, config.coiteration_factor);
+      build_hybrid_decisions(plan, mask, a, b, config.coiteration_factor,
+                             parallel);
     }
-    plan.info.fingerprint = detail::structural_fingerprint(mask, a, b);
   }
 
   plan.info.row_tiles = static_cast<std::int64_t>(plan.row_tiles.size());
@@ -640,17 +659,8 @@ Csr<T, I> compact_planned(const Plan<I>& plan, const Csr<T, I>& mask,
   const I rows = plan.rows;
   const auto mask_row_ptr = mask.row_ptr();
   const std::size_t col_tile_count = plan.cells_per_row_tile();
-  const auto for_rows = [&](auto&& body) {
-    if (parallel) {
-      parallel_for(I{0}, rows, body);
-    } else {
-      for (I i = 0; i < rows; ++i) {
-        body(i);
-      }
-    }
-  };
   if (plan.two_dimensional() || plan.is_blocked()) {
-    for_rows([&](I i) {
+    parallel_for(I{0}, rows, parallel, [&](I i) {
       I total = 0;
       for (std::size_t ct = 0; ct < col_tile_count; ++ct) {
         total += buffers.cell_counts[static_cast<std::size_t>(i) * col_tile_count + ct];
@@ -668,7 +678,7 @@ Csr<T, I> compact_planned(const Plan<I>& plan, const Csr<T, I>& mask,
     // Stitch the per-block segments in block order; the mask slice's
     // entry_begin is the slot map, so no per-cell search is needed.
     const BlockedLayout<I>& layout = *plan.blocked;
-    for_rows([&](I i) {
+    parallel_for(I{0}, rows, parallel, [&](I i) {
       auto dst = static_cast<std::size_t>(out_row_ptr[static_cast<std::size_t>(i)]);
       for (std::size_t ct = 0; ct < col_tile_count; ++ct) {
         const auto slot = static_cast<std::size_t>(
@@ -683,7 +693,7 @@ Csr<T, I> compact_planned(const Plan<I>& plan, const Csr<T, I>& mask,
       }
     });
   } else if (!plan.two_dimensional()) {
-    for_rows([&](I i) {
+    parallel_for(I{0}, rows, parallel, [&](I i) {
       const auto src = static_cast<std::size_t>(mask_row_ptr[static_cast<std::size_t>(i)]);
       const auto dst = static_cast<std::size_t>(out_row_ptr[static_cast<std::size_t>(i)]);
       const auto len = static_cast<std::size_t>(buffers.row_counts[static_cast<std::size_t>(i)]);
@@ -694,7 +704,7 @@ Csr<T, I> compact_planned(const Plan<I>& plan, const Csr<T, I>& mask,
     });
   } else {
     // Stitch each row's column-tile segments back together in tile order.
-    for_rows([&](I i) {
+    parallel_for(I{0}, rows, parallel, [&](I i) {
       auto dst = static_cast<std::size_t>(out_row_ptr[static_cast<std::size_t>(i)]);
       const auto row_mask = mask.row_cols(i);
       for (std::size_t ct = 0; ct < col_tile_count; ++ct) {
@@ -931,7 +941,8 @@ class Executor {
                   "matrix value type must match the semiring");
     WallTimer build;
     config_ = config;
-    plan_ = detail::build_plan(mask, a, b, config);
+    plan_ = detail::build_plan(mask, a, b, config,
+                               detail::structural_fingerprint(mask, a, b));
     bind_dispatch();
     plan_.info.build_ms = build.milliseconds();
     planned_ = true;

@@ -23,14 +23,15 @@
 namespace tilq {
 
 /// Per-row work estimates W[i] (Eq 2). `mask` and `a` must have the same
-/// row count; `b` supplies nnz(B[k,:]).
+/// row count; `b` supplies nnz(B[k,:]). `parallel` = false never opens an
+/// OpenMP region (see the four-argument parallel_for).
 template <class T, class I>
 std::vector<std::int64_t> row_work(const Csr<T, I>& mask, const Csr<T, I>& a,
-                                   const Csr<T, I>& b) {
+                                   const Csr<T, I>& b, bool parallel = true) {
   require(mask.rows() == a.rows(), "row_work: mask/a row mismatch");
   require(a.cols() == b.rows(), "row_work: inner dimension mismatch");
   std::vector<std::int64_t> work(static_cast<std::size_t>(a.rows()));
-  parallel_for(I{0}, a.rows(), [&](I i) {
+  parallel_for(I{0}, a.rows(), parallel, [&](I i) {
     std::int64_t w = mask.row_nnz(i);
     for (const I k : a.row_cols(i)) {
       w += b.row_nnz(k);
@@ -46,10 +47,15 @@ std::vector<std::int64_t> row_work(const Csr<T, I>& mask, const Csr<T, I>& a,
 template <class T, class I>
 std::vector<std::int64_t> row_work_prefix(const Csr<T, I>& mask,
                                           const Csr<T, I>& a,
-                                          const Csr<T, I>& b) {
-  const std::vector<std::int64_t> work = row_work(mask, a, b);
+                                          const Csr<T, I>& b,
+                                          bool parallel = true) {
+  const std::vector<std::int64_t> work = row_work(mask, a, b, parallel);
   std::vector<std::int64_t> prefix(work.size() + 1);
-  exclusive_scan<std::int64_t>(work, prefix);
+  if (parallel) {
+    exclusive_scan<std::int64_t>(work, prefix);
+  } else {
+    exclusive_scan_serial<std::int64_t>(work, prefix);
+  }
   return prefix;
 }
 
@@ -57,10 +63,12 @@ std::vector<std::int64_t> row_work_prefix(const Csr<T, I>& mask,
 /// This is the operation count SS:GB/GrB use for accumulator sizing, which
 /// the paper replaces with max_i nnz(M[i,:]) (§III-C).
 template <class T, class I>
-std::int64_t total_flops(const Csr<T, I>& a, const Csr<T, I>& b) {
+std::int64_t total_flops(const Csr<T, I>& a, const Csr<T, I>& b,
+                         bool parallel = true) {
   require(a.cols() == b.rows(), "total_flops: inner dimension mismatch");
   std::int64_t flops = 0;
-#pragma omp parallel for schedule(static) reduction(+ : flops)
+  // if(false) runs the loop on a team of one: no worker threads spawned.
+#pragma omp parallel for schedule(static) reduction(+ : flops) if (parallel)
   for (I i = 0; i < a.rows(); ++i) {
     for (const I k : a.row_cols(i)) {
       flops += b.row_nnz(k);

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "support/common.hpp"
@@ -30,6 +31,21 @@ void parallel_for(I begin, I end, Body&& body) {
     guard.run([&] { body(i); });
   }
   guard.rethrow_if_failed();
+}
+
+/// parallel_for when `parallel` is set, otherwise a plain serial loop that
+/// never opens an OpenMP region: for callers on the batch engine's pool
+/// workers (a nested team would oversubscribe the machine) and for inputs
+/// too small to pay for a team.
+template <class I, class Body>
+void parallel_for(I begin, I end, bool parallel, Body&& body) {
+  if (parallel) {
+    parallel_for(begin, end, std::forward<Body>(body));
+    return;
+  }
+  for (I i = begin; i < end; ++i) {
+    body(i);
+  }
 }
 
 /// Exclusive prefix sum of `counts` into `offsets` (sized counts.size() + 1);

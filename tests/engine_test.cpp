@@ -1,6 +1,7 @@
 // Batch engine tests: bit-identity with the single-call path across
 // configs (including 2D tiling and degradation), exact plan-cache
-// accounting under serial and concurrent submission, backpressure
+// accounting under serial and concurrent submission, the once-latch that
+// builds a cold (structure, config) key once, backpressure
 // (EngineSaturatedError + jobs_rejected), per-job failure isolation under
 // fault injection, run_batch ordering, JobStats sanity, and the metrics-v3
 // engine counters — plus the serving layer (docs/SERVING.md): deadline
@@ -15,6 +16,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -321,8 +324,8 @@ TEST_F(EngineTest, ShapeDefectsFailOnTheCallingThread) {
 
 // The PlanCache hammer: N submitter threads mixing cache hits, replans
 // (fresh structures), and config changes against one engine. Runs under
-// TSan in CI. Accounting must come out exact because plan builds are
-// serialized under the cache lock.
+// TSan in CI. Accounting must come out exact because the plan cache's
+// once-latch builds each key exactly once.
 TEST_F(EngineTest, ConcurrentSubmittersKeepCacheAccountingExact) {
   constexpr int kThreads = 4;
   constexpr int kRounds = 5;
@@ -1014,6 +1017,111 @@ TEST_F(EngineRetryTest, HealthDegradesUnderRetryStormAndRecovers) {
     (void)engine.submit(p.mask, p.a, p.b).get();
   }
   EXPECT_EQ(engine.stats().health, EngineHealth::kHealthy);
+}
+
+// --- Plan-cache once-latch (docs/CONCURRENCY.md) ----------------------
+// Suite name matters: CI's sanitizer matrix runs --gtest_filter=*Latch*.
+
+class EngineLatchTest : public ::testing::Test {
+ protected:
+  // Few enough to all run at once on a 4-core host, so misses overlap.
+  static constexpr int kSubmitters = 4;
+
+  /// Runs body(t) on kSubmitters threads released together, so their
+  /// cold submits reach the plan cache while the first build is running.
+  static void run_together(const std::function<void(int)>& body) {
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kSubmitters);
+    for (int t = 0; t < kSubmitters; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1, std::memory_order_acq_rel);
+        while (ready.load(std::memory_order_acquire) < kSubmitters) {
+          std::this_thread::yield();
+        }
+        body(t);
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+  }
+};
+
+TEST_F(EngineLatchTest, ConcurrentColdSubmitsForOneKeyBuildOnce) {
+  // Several cold keys, each raced by every submitter: one build per key.
+  // Below detail::kSerialPlanCutoff, so the build is serial and slow
+  // enough that the other submitters arrive while it runs.
+  constexpr int kKeys = 4;
+  Config config;
+  config.strategy = MaskStrategy::kHybrid;
+  Engine<SR> engine;
+  for (int key = 0; key < kKeys; ++key) {
+    const Problem p =
+        make_problem(301 + static_cast<std::uint64_t>(key), 1000, 900, 950,
+                     0.015);
+    ASSERT_LT(p.mask.nnz() + p.a.nnz(), detail::kSerialPlanCutoff);
+    const Csr<double, I> oracle = masked_spgemm<SR>(p.mask, p.a, p.b, config);
+    std::vector<std::optional<Csr<double, I>>> results(kSubmitters);
+    std::vector<JobStats> stats(kSubmitters);
+    std::atomic<int> failures{0};
+    run_together([&](int t) {
+      try {
+        auto handle = engine.submit(p.mask, p.a, p.b, config);
+        results[static_cast<std::size_t>(t)] = handle.get();
+        stats[static_cast<std::size_t>(t)] = handle.stats();
+      } catch (...) {
+        failures.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    ASSERT_EQ(failures.load(), 0);
+    const EngineStats es = engine.stats();
+    const auto keys = static_cast<std::uint64_t>(key + 1);
+    EXPECT_EQ(es.plan_builds, keys);
+    EXPECT_EQ(es.plan_hits, keys * (kSubmitters - 1));
+    int misses = 0;
+    for (int t = 0; t < kSubmitters; ++t) {
+      const auto slot = static_cast<std::size_t>(t);
+      ASSERT_TRUE(results[slot].has_value());
+      EXPECT_TRUE(test::csr_equal(oracle, *results[slot]))
+          << "key " << key << " submitter " << t;
+      misses += stats[slot].plan_cache_hit ? 0 : 1;
+    }
+    EXPECT_EQ(misses, 1) << "key " << key;  // the builder; waiters hit
+  }
+}
+
+TEST_F(EngineLatchTest, FailedColdBuildReachesEveryWaiterAndLeavesNoLatch) {
+  const Problem p = make_problem(307);
+  const Csr<double, I> wrong = test::random_matrix<double, I>(8, 8, 0.3, 9);
+  Engine<SR> engine;
+  std::atomic<int> preconditions{0};
+  std::atomic<int> others{0};
+  run_together([&](int) {
+    try {
+      (void)engine.submit(p.mask, p.a, wrong);
+      others.fetch_add(1, std::memory_order_relaxed);
+    } catch (const PreconditionError&) {
+      preconditions.fetch_add(1, std::memory_order_relaxed);
+    } catch (...) {
+      others.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  EXPECT_EQ(preconditions.load(), kSubmitters);
+  EXPECT_EQ(others.load(), 0);
+  // The same key fails again on its own build, not on a leftover latch.
+  EXPECT_THROW((void)engine.submit(p.mask, p.a, wrong), PreconditionError);
+  EngineStats es = engine.stats();
+  EXPECT_EQ(es.plan_builds, 0u);
+  EXPECT_EQ(es.plan_hits, 0u);  // waiting on a failed build is no hit
+  EXPECT_EQ(es.jobs_submitted, 0u);
+  // A valid submit with the same config then builds normally.
+  const Csr<double, I> oracle =
+      test::reference_masked_spgemm<SR>(p.mask, p.a, p.b);
+  EXPECT_TRUE(test::csr_equal(oracle, engine.submit(p.mask, p.a, p.b).get()));
+  es = engine.stats();
+  EXPECT_EQ(es.plan_builds, 1u);
+  EXPECT_EQ(es.jobs_completed, 1u);
 }
 
 }  // namespace

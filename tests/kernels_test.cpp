@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -113,6 +115,39 @@ TEST(PreferCoiteration, CostModelCrossover) {
   EXPECT_FALSE(detail::prefer_coiteration(1024, 1024, 1.0));  // 10240 > 1024
   EXPECT_FALSE(detail::prefer_coiteration(1, 1024, 0.001));   // 10 > 1.024
   EXPECT_TRUE(detail::prefer_coiteration(1024, 1024, 100.0));
+}
+
+TEST(PreferCoiteration, Log2TableMatchesTheLog2Formula) {
+  // The table must reproduce std::log2 bit for bit, so no κ decision (and
+  // no result bit) depends on which branch served the value.
+  const auto formula = [](std::int64_t mask_nnz, std::int64_t b_nnz,
+                          double kappa) {
+    const double log2_b =
+        std::log2(static_cast<double>(std::max<std::int64_t>(2, b_nnz)));
+    return static_cast<double>(mask_nnz) * log2_b <
+           kappa * static_cast<double>(b_nnz);
+  };
+  std::vector<std::int64_t> b_values;
+  const auto table_size = static_cast<std::int64_t>(detail::kLog2TableSize);
+  for (std::int64_t b = 0; b < table_size + 64; ++b) {
+    b_values.push_back(b);
+  }
+  for (const std::int64_t b : {std::int64_t{1} << 12, std::int64_t{123457},
+                               std::int64_t{1} << 40}) {
+    b_values.push_back(b);
+  }
+  for (const std::int64_t b : b_values) {
+    ASSERT_EQ(detail::log2_at_least_2(b),
+              std::log2(static_cast<double>(std::max<std::int64_t>(2, b))))
+        << "b_nnz " << b;
+    for (const std::int64_t mask_nnz : {0, 1, 2, 3, 7, 64, 1000}) {
+      for (const double kappa : {0.0, 0.25, 1.0, 3.0, 1e18}) {
+        ASSERT_EQ(detail::prefer_coiteration(mask_nnz, b, kappa),
+                  formula(mask_nnz, b, kappa))
+            << "mask_nnz " << mask_nnz << " b_nnz " << b << " kappa " << kappa;
+      }
+    }
+  }
 }
 
 TEST(Kernels, EmptyMaskRowEmitsNothing) {

@@ -486,6 +486,67 @@ TEST(BlockedPlan, ValueOnlyUpdatesReuseThePlan) {
 }
 
 // ---------------------------------------------------------------------------
+// Serial structure phase: below detail::kSerialPlanCutoff build_plan never
+// opens a team, and parallel = false never does. Every mode must give the
+// same plan.
+// ---------------------------------------------------------------------------
+
+void expect_same_slices(const std::vector<BlockSlice<I>>& x,
+                        const std::vector<BlockSlice<I>>& y) {
+  ASSERT_EQ(x.size(), y.size());
+  for (std::size_t t = 0; t < x.size(); ++t) {
+    EXPECT_EQ(x[t].row_ptr, y[t].row_ptr) << "block " << t;
+    EXPECT_EQ(x[t].entry_begin, y[t].entry_begin) << "block " << t;
+    EXPECT_EQ(x[t].local_cols, y[t].local_cols) << "block " << t;
+  }
+}
+
+void expect_same_plan(const Plan<I>& x, const Plan<I>& y) {
+  EXPECT_EQ(x.row_tiles, y.row_tiles);
+  EXPECT_EQ(x.col_tiles, y.col_tiles);
+  EXPECT_EQ(x.flop_total, y.flop_total);
+  EXPECT_EQ(x.accumulator_bound, y.accumulator_bound);
+  EXPECT_EQ(x.hybrid_coiterate, y.hybrid_coiterate);
+  EXPECT_EQ(x.info.fingerprint, y.info.fingerprint);
+  EXPECT_EQ(x.info.hub_splits, y.info.hub_splits);
+  ASSERT_EQ(x.is_blocked(), y.is_blocked());
+  if (x.is_blocked()) {
+    EXPECT_EQ(x.blocked->block_begin, y.blocked->block_begin);
+    EXPECT_EQ(x.blocked->tile_dense, y.blocked->tile_dense);
+    EXPECT_EQ(x.blocked->max_seg_entries, y.blocked->max_seg_entries);
+    EXPECT_EQ(x.blocked->dense_tiles, y.blocked->dense_tiles);
+    EXPECT_EQ(x.blocked->sparse_tiles, y.blocked->sparse_tiles);
+    expect_same_slices(x.blocked->b_blocks, y.blocked->b_blocks);
+    expect_same_slices(x.blocked->m_blocks, y.blocked->m_blocks);
+  }
+}
+
+TEST(PlanSerialPhase, SerialAndParallelPlansAreIdentical) {
+  const Csr<double, I> small = random_symmetric_graph(60, 0.1, 5);
+  const Csr<double, I> large = random_symmetric_graph(450, 0.1, 7);
+  ASSERT_LT(2 * small.nnz(), detail::kSerialPlanCutoff);
+  ASSERT_GE(2 * large.nnz(), detail::kSerialPlanCutoff);
+  Config hybrid;
+  hybrid.strategy = MaskStrategy::kHybrid;
+  hybrid.num_tiles = 7;
+  Config uniform = hybrid;
+  uniform.tiling = Tiling::kUniform;
+  Config blocked;
+  blocked.mode = Strategy::kBlocked;
+  blocked.block_cols = 37;
+  blocked.num_tiles = 9;
+  for (const Csr<double, I>* g : {&small, &large}) {
+    const std::uint64_t fp = detail::structural_fingerprint(*g, *g, *g);
+    for (const Config& config : {hybrid, uniform, blocked}) {
+      SCOPED_TRACE(config.describe() + " nnz=" + std::to_string(g->nnz()));
+      const Plan<I> team = detail::build_plan(*g, *g, *g, config, fp, true);
+      const Plan<I> serial = detail::build_plan(*g, *g, *g, config, fp, false);
+      expect_same_plan(team, serial);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // PlanCache: the iterative-algorithm front door.
 // ---------------------------------------------------------------------------
 

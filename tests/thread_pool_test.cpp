@@ -218,16 +218,22 @@ TEST(ThreadPoolTest, WorkerStatsSnapshotsAreSafeDuringStealHeavyLoad) {
     while (!stop.load(std::memory_order_acquire)) {
       const std::vector<ThreadPool::WorkerStats> per_worker =
           pool.worker_stats();
-      ASSERT_EQ(per_worker.size(), 4u);
-      for (std::size_t i = 0; i < per_worker.size(); ++i) {
+      EXPECT_EQ(per_worker.size(), 4u);
+      for (std::size_t i = 0; i < per_worker.size() && i < 4; ++i) {
         // Each worker's counter is monotone across snapshots.
         EXPECT_GE(per_worker[i].executed, last_executed[i]);
         last_executed[i] = per_worker[i].executed;
       }
-      snapshots.fetch_add(1, std::memory_order_relaxed);
+      snapshots.fetch_add(1, std::memory_order_release);
       std::this_thread::yield();
     }
   });
+  // On a loaded host the sampler may not be scheduled before the pool
+  // drains. Take its first snapshot before any task is submitted, so the
+  // count check below cannot depend on scheduling.
+  while (snapshots.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
   constexpr int kTasks = 4000;
   std::atomic<int> ran{0};
   for (int i = 0; i < kTasks; ++i) {
