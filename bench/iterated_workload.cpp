@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   const auto timing = tilq::bench::bench_timing();
 
   Config config;
-  config.strategy = tilq::MaskStrategy::kHybrid;  // heaviest analyze phase
+  config.strategy = tilq::MaskStrategy::kHybrid;  // the paper's pick (§V-B)
   config.threads = tilq::bench::bench_threads();
 
   std::printf("config: %s, %d iterations per sample\n\n", config.describe().c_str(),

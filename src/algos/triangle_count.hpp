@@ -25,10 +25,10 @@ enum class TriangleMethod { kBurkhardt, kCohen, kSandia };
 [[nodiscard]] const char* to_string(TriangleMethod method) noexcept;
 
 /// Plan cache for the PLUS_PAIR support kernel shared by triangle counting
-/// and k-truss. One cache amortizes tiling, hybrid κ decisions, and
-/// accumulator workspaces across repeated calls: identical sparsity reuses
-/// the plan outright, and even after a structure change (k-truss's shrinking
-/// iterates) the pooled accumulators survive the replan.
+/// and k-truss. One cache amortizes tiling and accumulator workspaces
+/// across repeated calls: identical sparsity reuses the plan outright, and
+/// even after a structure change (k-truss's shrinking iterates) the pooled
+/// accumulators survive the replan.
 using TrianglePlanCache = PlanCache<PlusPair<std::int64_t>>;
 
 /// Counts triangles in the undirected graph with symmetric adjacency matrix

@@ -965,6 +965,13 @@ class Engine {
         job->entry->run_task(*job->entry, *job, task, worker);
       }
     }
+#if TILQ_METRICS_ENABLED
+    // Counted before the fetch_sub below, so the job's completion orders
+    // the increment before any reader that waited for the job.
+    if (MetricCounters* const counters = metrics_thread_counters()) {
+      ++counters->engine_tasks;
+    }
+#endif
     if (job->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       finalize(job);
     }

@@ -16,6 +16,8 @@
 //   kHybrid    (Fig 9) — per (i,k) choose co-iteration iff
 //                        nnz(M[i,:])·log2(nnz(B[k,:])) < κ·nnz(B[k,:]),
 //                        κ = the co-iteration factor. SS:GB's "push-pull".
+//                        The test runs inline, in the kernel, on every
+//                        path; a plan stores no per-(i,k) picks.
 #pragma once
 
 #include <algorithm>
@@ -265,54 +267,6 @@ void row_hybrid(const Csr<T, I>& mask, const Csr<T, I>& a, const Csr<T, I>& b,
   metrics.flush();
 }
 
-/// Fig 9 with the per-(i,k) choices resolved ahead of time: `coiterate[e]`
-/// holds the hybrid decision for the A entry at flat index
-/// e = a.row_ptr[i] + p (one flag per A nonzero, precomputed by a Plan).
-/// Byte-for-byte the same traversal — and therefore the same floating-point
-/// summation order — as row_hybrid with the κ test evaluated inline.
-template <Semiring SR, class T, class I, class Acc, class Emit>
-void row_hybrid_planned(const Csr<T, I>& mask, const Csr<T, I>& a,
-                        const Csr<T, I>& b, I i,
-                        std::span<const std::uint8_t> coiterate, Acc& acc,
-                        Emit&& emit) {
-  const auto mask_cols = mask.row_cols(i);
-  if (mask_cols.empty()) {
-    return;
-  }
-  acc.set_mask(mask_cols);
-  detail::KernelRowMetrics metrics;
-  const auto a_cols = a.row_cols(i);
-  const auto a_vals = a.row_vals(i);
-  const auto base =
-      static_cast<std::size_t>(a.row_ptr()[static_cast<std::size_t>(i)]);
-  for (std::size_t p = 0; p < a_cols.size(); ++p) {
-    const I k = a_cols[p];
-    const T scale = a_vals[p];
-    const auto b_cols = b.row_cols(k);
-    const auto b_vals = b.row_vals(k);
-    if (coiterate[base + p] != 0) {
-      ++metrics.hybrid_coiter_picks;
-      for (const I j : mask_cols) {
-        const std::size_t q = detail::lower_bound_index(
-            b_cols, 0, j, metrics.binary_search_steps);
-        if (q < b_cols.size() && b_cols[q] == j) {
-          ++metrics.flops;
-          acc.accumulate(j, SR::mul(scale, b_vals[q]));
-        }
-      }
-    } else {
-      ++metrics.hybrid_linear_picks;
-      metrics.flops += b_cols.size();
-      for (std::size_t q = 0; q < b_cols.size(); ++q) {
-        acc.accumulate(b_cols[q], SR::mul(scale, b_vals[q]));
-      }
-    }
-  }
-  acc.gather(mask_cols, emit);
-  acc.finish_row(mask_cols);
-  metrics.flush();
-}
-
 /// Dispatches one row to the kernel selected by `strategy`.
 template <Semiring SR, class T, class I, class Acc, class Emit>
 void compute_row(MaskStrategy strategy, double kappa, const Csr<T, I>& mask,
@@ -334,30 +288,13 @@ void compute_row(MaskStrategy strategy, double kappa, const Csr<T, I>& mask,
   }
 }
 
-/// compute_row with plan-resolved hybrid decisions: identical dispatch,
-/// except kHybrid consumes the precomputed per-A-entry flags (empty span
-/// falls back to the inline κ test — the decisions are equivalent either
-/// way; the plan just hoists the log2 out of the hot loop).
-template <Semiring SR, class T, class I, class Acc, class Emit>
-void compute_row_planned(MaskStrategy strategy, double kappa,
-                         std::span<const std::uint8_t> hybrid_coiterate,
-                         const Csr<T, I>& mask, const Csr<T, I>& a,
-                         const Csr<T, I>& b, I i, Acc& acc, Emit&& emit) {
-  if (strategy == MaskStrategy::kHybrid && !hybrid_coiterate.empty()) {
-    row_hybrid_planned<SR>(mask, a, b, i, hybrid_coiterate, acc, emit);
-    return;
-  }
-  compute_row<SR>(strategy, kappa, mask, a, b, i, acc, emit);
-}
-
 namespace detail {
 
 /// Computes one (row, column-range) cell of the 2D-tiled driver: the mask
 /// segment of row i inside [col_begin, col_end) is loaded, A[i,:] is
 /// traversed, and each B row is scanned only inside the column range.
 /// Returns the number of outputs emitted (written at out_cols/out_vals).
-/// Hybrid decisions stay inline here: they depend on the per-cell B-row
-/// segment length, which a row-granular plan does not enumerate.
+/// Hybrid decisions read the per-cell B-row segment length.
 template <Semiring SR, class T, class I, class Acc>
 I compute_cell(const Csr<T, I>& mask, const Csr<T, I>& a, const Csr<T, I>& b,
                I i, I col_begin, I col_end, MaskStrategy strategy, double kappa,

@@ -5,8 +5,8 @@
 // core/plan.hpp; this header is the one-shot convenience entry point —
 // plan once, execute once):
 //   1. analyze  — per-row work estimates (Eq 2) when FLOP-balanced tiling is
-//                 requested; tile construction; hybrid κ decisions;
-//                 accumulator sizing. This is Executor::plan().
+//                 requested; tile construction; accumulator sizing.
+//                 This is Executor::plan().
 //   2. compute  — one OpenMP parallel region; tiles dispatched with
 //                 schedule(runtime) so STATIC/DYNAMIC is a runtime switch;
 //                 each thread owns one pooled accumulator; every output row

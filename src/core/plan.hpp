@@ -7,7 +7,6 @@
 //
 //   plan(M, A, B, config)      — structure phase, runs once:
 //     * per-row work estimates (Eq 2) + FLOP-balanced tile boundaries
-//     * per-(i,k) hybrid κ decisions (one flag per A nonzero)
 //     * accumulator sizing (mask row bound; FLOP bound for vanilla)
 //     * structural fingerprint (rowptr/colidx hash) of all three operands
 //   execute(M, A, B [, stats]) — numeric phase, runs per iteration:
@@ -18,10 +17,11 @@
 //
 // Values may change freely between executes — only the sparsity pattern is
 // fingerprinted. Outputs are bit-identical to the one-shot masked_spgemm
-// path: the planned hybrid kernel replays the exact per-entry decisions the
-// inline κ test would make, so the floating-point summation order is
-// unchanged, and pooled accumulators gather in mask order, so their reuse
-// (continued marker epochs, retained hash capacity) cannot reorder sums.
+// path: the planned execute runs the same row kernels, whose hybrid κ test
+// is evaluated inline (a table lookup, as cheap as reading a stored flag,
+// so the plan keeps none), and pooled accumulators gather in mask order, so
+// their reuse (continued marker epochs, retained hash capacity) cannot
+// reorder sums.
 //
 // masked_spgemm / masked_spgemm_2d are thin wrappers over this machinery
 // (plan once, execute once); see docs/API.md for the lifecycle and the
@@ -80,7 +80,9 @@ struct PlanInfo {
   std::int64_t row_tiles = 0;
   std::int64_t col_tiles = 1;         ///< 1 on the 1D path
   std::int64_t accumulator_bound = 0; ///< per-row accumulator sizing
-  std::int64_t hybrid_decisions = 0;  ///< precomputed per-(i,k) κ picks
+  /// A nonzeros whose (i,k) κ test the 1D hybrid kernel runs: nnz(A) on a
+  /// 1D hybrid plan, 0 otherwise.
+  std::int64_t hybrid_decisions = 0;
   std::int64_t flop_total = 0;        ///< Eq-2 work total Σ_i W[i]
   std::int64_t dense_tiles = 0;       ///< blocked: tiles classified dense
   std::int64_t sparse_tiles = 0;      ///< blocked: tiles classified sparse
@@ -168,10 +170,6 @@ struct Plan {
   /// cache hit prices a repeat structure for free.
   std::int64_t flop_total = 0;
   I accumulator_bound = 0;
-  /// One flag per A nonzero (flat index a.row_ptr[i] + p): the hybrid
-  /// strategy's per-(i,k) κ choice. Empty unless the planned config uses
-  /// MaskStrategy::kHybrid on the 1D or blocked path.
-  std::vector<std::uint8_t> hybrid_coiterate;
   /// Whether the plan targets the 2D (row x column tile) driver.
   bool two_d = false;
   /// Blocked-strategy artifacts (column-block slices, per-tile dense
@@ -210,29 +208,6 @@ I accumulator_row_bound(const Csr<T, I>& mask, const Csr<T, I>& a,
   return std::max(bound, max_row_nnz(mask));
 }
 
-/// Precomputes the hybrid kernel's per-(i,k) κ choices — exactly the
-/// predicate row_hybrid evaluates inline, hoisted to plan time.
-template <class T, class I>
-void build_hybrid_decisions(Plan<I>& plan, const Csr<T, I>& mask,
-                            const Csr<T, I>& a, const Csr<T, I>& b,
-                            double kappa, bool parallel) {
-  plan.hybrid_coiterate.assign(static_cast<std::size_t>(a.nnz()), 0);
-  const auto a_row_ptr = a.row_ptr();
-  parallel_for(I{0}, a.rows(), parallel, [&](I i) {
-    const auto mask_nnz = static_cast<std::int64_t>(mask.row_nnz(i));
-    if (mask_nnz == 0) {
-      return;  // the kernel skips the row before reading any decision
-    }
-    const auto a_cols = a.row_cols(i);
-    const auto base = static_cast<std::size_t>(a_row_ptr[static_cast<std::size_t>(i)]);
-    for (std::size_t p = 0; p < a_cols.size(); ++p) {
-      const auto b_nnz = static_cast<std::int64_t>(b.row_nnz(a_cols[p]));
-      plan.hybrid_coiterate[base + p] =
-          detail::prefer_coiteration(mask_nnz, b_nnz, kappa) ? 1 : 0;
-    }
-  });
-}
-
 /// Operand size, nnz(M) + nnz(A), below which build_plan keeps its loops
 /// serial even when allowed a team (the role kSerialCutoff plays in
 /// exclusive_scan). On small operands an OpenMP team costs more than it
@@ -242,13 +217,13 @@ inline constexpr std::int64_t kSerialPlanCutoff = std::int64_t{1} << 15;
 
 /// The structure phase as a free function: validates shapes (and, under
 /// Config::validate_inputs, the operands themselves), builds the
-/// FLOP-balanced tile grid, sizes the accumulator, and precomputes hybrid κ
-/// decisions. `fingerprint` is the caller's structural_fingerprint of
-/// (mask, a, b), stored as PlanInfo::fingerprint, so a caller that already
-/// hashed the operands does not hash them twice. `parallel` = false starts
-/// no OpenMP threads (the batch engine's pool workers pass it);
-/// otherwise operands below kSerialPlanCutoff still plan serially. Both
-/// give the same plan. Executor::plan and the batch engine's shared plan
+/// FLOP-balanced tile grid, and sizes the accumulator. `fingerprint` is the
+/// caller's structural_fingerprint of (mask, a, b), stored as
+/// PlanInfo::fingerprint, so a caller that already hashed the operands does
+/// not hash them twice. `parallel` = false starts no OpenMP threads (the
+/// batch engine's pool workers pass it); otherwise operands below
+/// kSerialPlanCutoff still plan serially. Both give the same plan.
+/// Executor::plan and the batch engine's shared plan
 /// cache (core/engine.hpp) both delegate here, so a cached engine plan is
 /// the plan the Executor would have built. Fills everything but
 /// PlanInfo::build_ms, which the caller times.
@@ -351,12 +326,6 @@ template <class T, class I>
       }
       plan.blocked = std::move(layout);
     }
-    if (!two_d && !blocked && config.strategy == MaskStrategy::kHybrid) {
-      // 1D only: the blocked driver re-evaluates κ per (cell, k) against
-      // SEGMENT sizes, which the full-row precomputation cannot stand for.
-      build_hybrid_decisions(plan, mask, a, b, config.coiteration_factor,
-                             parallel);
-    }
   }
 
   plan.info.row_tiles = static_cast<std::int64_t>(plan.row_tiles.size());
@@ -364,7 +333,9 @@ template <class T, class I>
   plan.info.accumulator_bound =
       static_cast<std::int64_t>(plan.accumulator_bound);
   plan.info.hybrid_decisions =
-      static_cast<std::int64_t>(plan.hybrid_coiterate.size());
+      !two_d && !blocked && config.strategy == MaskStrategy::kHybrid
+          ? static_cast<std::int64_t>(a.nnz())
+          : 0;
   plan.info.flop_total = plan.flop_total;
   return plan;
 }
@@ -522,7 +493,6 @@ TileTaskStats run_scalar_tile_task(
     DriverBuffers<T, I>& buffers) {
   using Fallback = FallbackAccumulator<Acc>;
   const auto mask_row_ptr = mask.row_ptr();
-  const std::span<const std::uint8_t> decisions(plan.hybrid_coiterate);
   TileTaskStats out;
   if (!plan.two_dimensional()) {
     const Tile tile = plan.row_tiles[static_cast<std::size_t>(task)];
@@ -542,8 +512,8 @@ TileTaskStats run_scalar_tile_task(
       };
       if constexpr (Fallback::available) {
         try {
-          compute_row_planned<SR>(config.strategy, config.coiteration_factor,
-                                  decisions, mask, a, b, i, acc, emit);
+          compute_row<SR>(config.strategy, config.coiteration_factor, mask, a,
+                          b, i, acc, emit);
         } catch (const AccumulatorSaturatedError&) {
           if (!config.degrade_on_saturation) {
             throw;
@@ -558,13 +528,13 @@ TileTaskStats run_scalar_tile_task(
           if (!fallback.has_value()) {
             fallback.emplace(plan.cols, config.reset);
           }
-          compute_row_planned<SR>(config.strategy, config.coiteration_factor,
-                                  decisions, mask, a, b, i, *fallback, emit);
+          compute_row<SR>(config.strategy, config.coiteration_factor, mask, a,
+                          b, i, *fallback, emit);
           ++out.degrades;
         }
       } else {
-        compute_row_planned<SR>(config.strategy, config.coiteration_factor,
-                                decisions, mask, a, b, i, acc, emit);
+        compute_row<SR>(config.strategy, config.coiteration_factor, mask, a, b,
+                        i, acc, emit);
       }
       buffers.row_counts[static_cast<std::size_t>(i)] = count;
     }

@@ -285,7 +285,7 @@ bool init_from_env() {
 
 namespace metrics_detail {
 
-bool g_runtime_enabled = init_from_env();
+std::atomic<bool> g_runtime_enabled{init_from_env()};
 
 namespace {
 
@@ -308,7 +308,7 @@ HwCounters& thread_hw_slot() { return whole_thread_slot().hw; }
 }  // namespace metrics_detail
 
 void set_metrics_enabled(bool enabled) noexcept {
-  metrics_detail::g_runtime_enabled = enabled;
+  metrics_detail::g_runtime_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 void metrics_reset() noexcept {

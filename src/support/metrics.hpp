@@ -26,6 +26,7 @@
 // invocations (every in-tree caller does).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -263,8 +264,10 @@ struct MetricsRecord {
 
 namespace metrics_detail {
 /// Fast-path runtime gate; initialized from the TILQ_METRICS environment
-/// variable, overridable via set_metrics_enabled().
-extern bool g_runtime_enabled;
+/// variable, overridable via set_metrics_enabled(). Atomic because pool
+/// workers read it while another thread may flip it; relaxed, because it
+/// orders nothing.
+extern std::atomic<bool> g_runtime_enabled;
 /// Returns this thread's registered slot, creating it on first use.
 [[nodiscard]] MetricCounters& thread_slot();
 /// Hardware-counter slot riding along with the same registration.
@@ -273,7 +276,7 @@ extern bool g_runtime_enabled;
 
 /// True when counting is active (compiled in AND runtime-enabled).
 [[nodiscard]] inline bool metrics_enabled() noexcept {
-  return metrics_detail::g_runtime_enabled;
+  return metrics_detail::g_runtime_enabled.load(std::memory_order_relaxed);
 }
 
 /// This thread's counter slot, or nullptr when counting is inactive. Hot

@@ -112,11 +112,6 @@ void ThreadPool::worker_loop(int index) {
     task = nullptr;  // release captured state before reporting completion
     workers_[static_cast<std::size_t>(index)]->executed.fetch_add(
         1, std::memory_order_relaxed);
-#if TILQ_METRICS_ENABLED
-    if (MetricCounters* const counters = metrics_thread_counters()) {
-      ++counters->engine_tasks;
-    }
-#endif
     running_.fetch_sub(1, std::memory_order_release);
     if (pending_.load(std::memory_order_acquire) == 0 &&
         running_.load(std::memory_order_acquire) == 0) {

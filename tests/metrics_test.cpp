@@ -14,6 +14,7 @@
 #include <string>
 #include <string_view>
 
+#include "core/engine.hpp"
 #include "core/masked_spgemm.hpp"
 #include "core/masked_spgemm_2d.hpp"
 #include "support/trace.hpp"
@@ -198,17 +199,55 @@ std::uint64_t expected_mask_first_flops(const Csr<double, I>& mask,
   return flops;
 }
 
-/// Number of (i, k) pairs the hybrid kernel classifies: one per A[i,k]
-/// nonzero in rows with a non-empty mask.
-std::uint64_t expected_hybrid_decisions(const Csr<double, I>& mask,
-                                        const Csr<double, I>& a) {
-  std::uint64_t pairs = 0;
+/// Hand count of the hybrid kernel's picks: Eq 3's κ test over every (i, k)
+/// with A[i,k] ≠ 0 and a non-empty M[i,:], so the two kinds partition those
+/// pairs.
+struct HybridPicks {
+  std::uint64_t coiterate = 0;
+  std::uint64_t linear = 0;
+};
+
+HybridPicks expected_hybrid_picks(const Csr<double, I>& mask,
+                                  const Csr<double, I>& a,
+                                  const Csr<double, I>& b, double kappa) {
+  HybridPicks picks;
   for (I i = 0; i < a.rows(); ++i) {
-    if (!mask.row_cols(i).empty()) {
-      pairs += a.row_cols(i).size();
+    const auto mask_nnz = static_cast<std::int64_t>(mask.row_nnz(i));
+    if (mask_nnz == 0) {
+      continue;
+    }
+    for (const I k : a.row_cols(i)) {
+      const auto b_nnz = static_cast<std::int64_t>(b.row_nnz(k));
+      if (detail::prefer_coiteration(mask_nnz, b_nnz, kappa)) {
+        ++picks.coiterate;
+      } else {
+        ++picks.linear;
+      }
     }
   }
-  return pairs;
+  return picks;
+}
+
+/// Sparse random matrix plus a few dense hub rows and columns, so that
+/// sparse rows meet hub B rows (co-iteration) and hub mask rows meet
+/// sparse B rows (linear scan). Rows divisible by `empty_every` hold no
+/// entries, which empties those mask rows when the matrix is the mask.
+Csr<double, I> hub_matrix(I n, std::uint64_t seed, I empty_every) {
+  Xoshiro256 rng(seed);
+  const auto hub = [n](I v) { return v == 1 || v == n / 2 || v == n - 2; };
+  Coo<double, I> coo(n, n);
+  for (I i = 0; i < n; ++i) {
+    if (i % empty_every == 0) {
+      continue;
+    }
+    for (I j = 0; j < n; ++j) {
+      const double density = hub(i) || hub(j) ? 0.9 : 0.04;
+      if (rng.bernoulli(density)) {
+        coo.push_unchecked(i, j, static_cast<double>(1 + rng.uniform_below(9)));
+      }
+    }
+  }
+  return build_csr(coo, DupPolicy::kError);
 }
 
 class MetricsTest : public ::testing::Test {
@@ -286,16 +325,34 @@ TEST_F(MetricsTest, CoIterationCountsBinarySearchSteps) {
 }
 
 TEST_F(MetricsTest, HybridDecisionsPartitionTheIterationPairs) {
-  const auto a = test::random_matrix<double, I>(60, 60, 0.1, 17);
+  // The inline picks are Eq 3 itself, pair by pair, on both the one-shot
+  // and the Engine path (the Engine plans and runs the same kernels).
   Config config;
   config.strategy = MaskStrategy::kHybrid;
-  config.coiteration_factor = 1.0;
-  (void)masked_spgemm<SR>(a, a, a, config);
+  const Csr<double, I> mask = hub_matrix(120, 23, 11);
+  const Csr<double, I> g = hub_matrix(120, 29, 1000);
+  EngineOptions options;
+  options.threads = 2;
+  Engine<SR> engine(options);
+  for (const double kappa : {0.25, 1.0, 4.0}) {
+    SCOPED_TRACE(kappa);
+    const HybridPicks expected = expected_hybrid_picks(mask, g, g, kappa);
+    EXPECT_GT(expected.coiterate, 0u);
+    EXPECT_GT(expected.linear, 0u);
+    config.coiteration_factor = kappa;
 
-  const MetricsSnapshot snapshot = metrics_snapshot();
-  EXPECT_EQ(snapshot.total.hybrid_coiter_picks +
-                snapshot.total.hybrid_linear_picks,
-            expected_hybrid_decisions(a, a));
+    MetricsSnapshot before = metrics_snapshot();
+    (void)masked_spgemm<SR>(mask, g, g, config);
+    MetricsSnapshot delta = metrics_delta(before, metrics_snapshot());
+    EXPECT_EQ(delta.total.hybrid_coiter_picks, expected.coiterate);
+    EXPECT_EQ(delta.total.hybrid_linear_picks, expected.linear);
+
+    before = metrics_snapshot();
+    (void)engine.submit(mask, g, g, config).get();
+    delta = metrics_delta(before, metrics_snapshot());
+    EXPECT_EQ(delta.total.hybrid_coiter_picks, expected.coiterate);
+    EXPECT_EQ(delta.total.hybrid_linear_picks, expected.linear);
+  }
 }
 
 TEST_F(MetricsTest, DisabledAtRuntimeCountsNothing) {

@@ -278,7 +278,7 @@ TEST(PlanInfo, HybridPlansOneDecisionPerANonzero) {
 
   config.strategy = MaskStrategy::kMaskFirst;
   exec.plan(p.mask, p.a, p.b, config);
-  EXPECT_EQ(exec.info().hybrid_decisions, 0);  // only hybrid precomputes
+  EXPECT_EQ(exec.info().hybrid_decisions, 0);  // only hybrid tests κ
 }
 
 TEST(PlanInfo, StatsReportPhasesAndPlanBuildTime) {
@@ -506,7 +506,6 @@ void expect_same_plan(const Plan<I>& x, const Plan<I>& y) {
   EXPECT_EQ(x.col_tiles, y.col_tiles);
   EXPECT_EQ(x.flop_total, y.flop_total);
   EXPECT_EQ(x.accumulator_bound, y.accumulator_bound);
-  EXPECT_EQ(x.hybrid_coiterate, y.hybrid_coiterate);
   EXPECT_EQ(x.info.fingerprint, y.info.fingerprint);
   EXPECT_EQ(x.info.hub_splits, y.info.hub_splits);
   ASSERT_EQ(x.is_blocked(), y.is_blocked());
