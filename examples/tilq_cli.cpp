@@ -6,7 +6,6 @@
 //            --tiles 1024        (one line; wrapped here for readability)
 //   tilq_cli --mtx my_matrix.mtx --predict      # model-chosen config
 //   tilq_cli --graph circuit5M --tune           # staged Fig-12 tuning
-//   tilq_cli --graph GAP-road --col-tiles 8     # 2D tiling
 //
 // Run with --help for the full flag list. With no arguments it runs a
 // small self-demo.
@@ -63,8 +62,7 @@ void print_usage() {
       "  --acc dense|hash|bitmap        (default hash)\n"
       "  --marker 8|16|32|64            (default 32)\n"
       "  --reset marker|explicit        (default marker)\n"
-      "  --col-tiles N    2D column tiling (default 1 = 1D)\n"
-      "  --mode 1d|2d|blocked           execution space (default: inferred)\n"
+      "  --mode 1d|blocked              execution space (default 1d)\n"
       "  --block-cols N   blocked mode: columns per cache block (default 4096)\n"
       "  --threads N\n"
       "modes:\n"
@@ -160,13 +158,16 @@ std::optional<CliOptions> parse(int argc, char** argv) {
       const std::string v = next();
       options.config.reset = v == "explicit" ? tilq::ResetPolicy::kExplicit
                                              : tilq::ResetPolicy::kMarker;
-    } else if (flag == "--col-tiles") {
-      options.config.num_col_tiles = std::atoll(next());
     } else if (flag == "--mode") {
       const std::string v = next();
-      options.config.mode = v == "blocked" ? tilq::Strategy::kBlocked
-                            : v == "2d"    ? tilq::Strategy::k2D
-                                           : tilq::Strategy::k1D;
+      if (v == "1d") {
+        options.config.mode = tilq::Strategy::k1D;
+      } else if (v == "blocked") {
+        options.config.mode = tilq::Strategy::kBlocked;
+      } else {
+        std::fprintf(stderr, "bad --mode %s (want 1d|blocked)\n", v.c_str());
+        return std::nullopt;
+      }
     } else if (flag == "--block-cols") {
       options.config.block_cols = std::atoll(next());
     } else if (flag == "--threads") {

@@ -28,7 +28,7 @@
 #include <span>
 
 #include "support/errors.hpp"
-#include "support/metrics.hpp"  // TILQ_METRICS_ENABLED gate for the counters
+#include "support/metrics.hpp"  // the counters' gate and registry slot
 
 namespace tilq {
 
@@ -87,7 +87,53 @@ struct AccumulatorCounters {
   std::uint64_t row_resets = 0;      ///< marker-policy finish_row epoch bumps
   std::uint64_t explicit_clears = 0; ///< slots cleared by explicit resets
   std::uint64_t rehashes = 0;        ///< hash grow-and-rehash events (saturation)
+
+  AccumulatorCounters& operator+=(const AccumulatorCounters& o) noexcept {
+    full_resets += o.full_resets;
+    probes += o.probes;
+    inserts += o.inserts;
+    rejects += o.rejects;
+    collisions += o.collisions;
+    row_resets += o.row_resets;
+    explicit_clears += o.explicit_clears;
+    rehashes += o.rehashes;
+    return *this;
+  }
+
+  /// Field-wise difference: pooled accumulators keep counting across
+  /// executes, so a driver reports counters() minus an entry snapshot.
+  [[nodiscard]] AccumulatorCounters operator-(
+      const AccumulatorCounters& o) const noexcept {
+    AccumulatorCounters d;
+    d.full_resets = full_resets - o.full_resets;
+    d.probes = probes - o.probes;
+    d.inserts = inserts - o.inserts;
+    d.rejects = rejects - o.rejects;
+    d.collisions = collisions - o.collisions;
+    d.row_resets = row_resets - o.row_resets;
+    d.explicit_clears = explicit_clears - o.explicit_clears;
+    d.rehashes = rehashes - o.rehashes;
+    return d;
+  }
 };
+
+namespace detail {
+
+/// Adds one accumulator's counters into a thread's metrics slot, under the
+/// registry's names (docs/METRICS.md).
+inline void add_accumulator_counters(MetricCounters& slot,
+                                     const AccumulatorCounters& c) noexcept {
+  slot.hash_probes += c.probes;
+  slot.hash_collisions += c.collisions;
+  slot.accum_inserts += c.inserts;
+  slot.accum_rejects += c.rejects;
+  slot.marker_row_resets += c.row_resets;
+  slot.marker_overflow_resets += c.full_resets;
+  slot.explicit_reset_slots += c.explicit_clears;
+  slot.accum_rehashes += c.rehashes;
+}
+
+}  // namespace detail
 
 /// Thrown (CapacityError subtype) when the hash accumulator's probe chains
 /// breach its limit and growing the table past its bound would not help —

@@ -88,25 +88,14 @@ std::vector<Config> candidate_arm_configs(const Config& submitted,
   }
 
   // Execution-space sweep: the cache-blocked space with the dense and
-  // hash per-tile accumulators, and one 2D grid. The vanilla kernel has
-  // no column-restricted formulation, so those arms fall back to
-  // mask-first.
+  // hash per-tile accumulators. The vanilla kernel has no
+  // column-restricted formulation, so those arms fall back to mask-first.
   for (const AccumulatorKind kind :
        {AccumulatorKind::kDense, AccumulatorKind::kHash}) {
     Config arm = submitted;
     arm.mode = Strategy::kBlocked;
-    arm.num_col_tiles = 1;
     arm.block_cols = 0;  // auto width
     arm.accumulator = kind;
-    if (arm.strategy == MaskStrategy::kVanilla) {
-      arm.strategy = MaskStrategy::kMaskFirst;
-    }
-    push_unique(arms, std::move(arm));
-  }
-  {
-    Config arm = submitted;
-    arm.mode = Strategy::k2D;
-    arm.num_col_tiles = 4;
     if (arm.strategy == MaskStrategy::kVanilla) {
       arm.strategy = MaskStrategy::kMaskFirst;
     }

@@ -6,7 +6,7 @@
 // serving*, from signals the engine already collects for free:
 //
 //   * each plan-cache structural fingerprint gets a small table of config
-//     arms — execution-space strategy (1D / 2D / blocked), accumulator
+//     arms — execution-space strategy (1D / blocked), accumulator
 //     kind, marker width, hybrid κ — seeded from the submitted config and
 //     the heuristic model's prediction (core/model.hpp);
 //   * every finished job reports its reward: measured run latency
@@ -108,7 +108,7 @@ struct AutotuneStats {
 
 /// The candidate arm set for one fingerprint: the submitted config, the
 /// heuristic model's prediction, and structured variants across the
-/// paper's dimensions (accumulator kind, blocked/2D execution space,
+/// paper's dimensions (accumulator kind, blocked execution space,
 /// marker width, hybrid κ), deduplicated, submitted config first.
 /// Exposed for tests and the TUNING.md examples.
 [[nodiscard]] std::vector<Config> candidate_arm_configs(

@@ -303,15 +303,7 @@ class BlockedWorkspace {
   /// task, exactly as for a single accumulator).
   [[nodiscard]] AccumulatorCounters counters() const noexcept {
     AccumulatorCounters total = dense_.counters();
-    const AccumulatorCounters& s = sparse_.counters();
-    total.full_resets += s.full_resets;
-    total.probes += s.probes;
-    total.inserts += s.inserts;
-    total.rejects += s.rejects;
-    total.collisions += s.collisions;
-    total.row_resets += s.row_resets;
-    total.explicit_clears += s.explicit_clears;
-    total.rehashes += s.rehashes;
+    total += sparse_.counters();
     return total;
   }
 
@@ -347,8 +339,8 @@ class BlockedWorkspace {
 namespace detail {
 
 /// Trait steering run_tile_task's compile-time dispatch: a
-/// BlockedWorkspace runs the blocked branch, a plain accumulator the
-/// 1D/2D branches.
+/// BlockedWorkspace runs the blocked branch, a plain accumulator the 1D
+/// branch.
 template <class Acc>
 struct is_blocked_workspace : std::false_type {};
 template <Semiring SR, class I, class Marker, class SparseAcc>
@@ -357,12 +349,12 @@ struct is_blocked_workspace<BlockedWorkspace<SR, I, Marker, SparseAcc>>
 template <class Acc>
 inline constexpr bool is_blocked_workspace_v = is_blocked_workspace<Acc>::value;
 
-/// Computes one (row, column-block) cell over the extracted slices — the
-/// blocked counterpart of compute_cell, with every per-cell binary search
-/// over global CSR replaced by O(1) slice lookups. Values are read live
-/// from `b` through the slice's entry_begin indirection; emitted columns
-/// are translated back to global (col_base + local). Returns the number
-/// of outputs written at out_cols/out_vals.
+/// Computes one (row, column-block) cell over the extracted slices, with
+/// every per-cell lookup an O(1) slice access instead of a binary search
+/// over global CSR. Values are read live from `b` through the slice's
+/// entry_begin indirection; emitted columns are translated back to global
+/// (col_base + local). Returns the number of outputs written at
+/// out_cols/out_vals.
 ///
 /// Per-slot contribution order is the A-row order, exactly as in the 1D
 /// kernels, so results are bit-identical regardless of the strategy pick

@@ -17,11 +17,10 @@
 namespace tilq {
 
 /// Execution-space strategy: how plan() decomposes the iteration space.
-/// One Config field replaces the former Config2d type — a third strategy
-/// cannot ship as yet another config-type-and-entry-point pair.
+/// One Config field selects it — a new space cannot ship as yet another
+/// config-type-and-entry-point pair.
 enum class Strategy {
   k1D,       ///< row tiles over the full column range (the reference path)
-  k2D,       ///< row × column tile grid walking global CSR
   kBlocked,  ///< cache-blocked column slices with per-tile accumulators
 };
 
@@ -29,8 +28,6 @@ enum class Strategy {
   switch (strategy) {
     case Strategy::k1D:
       return "1d";
-    case Strategy::k2D:
-      return "2d";
     case Strategy::kBlocked:
       return "blocked";
   }
@@ -45,16 +42,10 @@ struct Config {
   /// SS:GB-observed policy).
   std::int64_t num_tiles = 0;
 
-  // Execution-space strategy (docs/ARCHITECTURE.md).
-  /// Strategy::k2D with num_col_tiles <= 1 degenerates to the 1D
-  /// algorithm, and — for one deprecation cycle of the former Config2d —
-  /// num_col_tiles > 1 under the default mode still selects 2D;
-  /// effective_strategy() resolves both. The vanilla mask strategy is
-  /// rejected for 2D and blocked plans (its unmasked merge phase has no
-  /// column-restricted formulation that preserves its semantics).
+  // Execution-space strategy (docs/ARCHITECTURE.md). The vanilla mask
+  // strategy is rejected for blocked plans (its unmasked merge phase has
+  // no column-restricted formulation that preserves its semantics).
   Strategy mode = Strategy::k1D;
-  /// Column tile count for Strategy::k2D.
-  std::int64_t num_col_tiles = 1;
   /// Column-block width for Strategy::kBlocked; 0 picks the auto width
   /// (kDefaultBlockCols, clamped to kMaxColumnBlocks blocks).
   std::int64_t block_cols = 0;
@@ -87,16 +78,6 @@ struct Config {
 
   [[nodiscard]] bool operator==(const Config&) const = default;
 
-  /// The strategy this config actually selects: blocked when mode says
-  /// so, 2D whenever more than one column tile is requested (the former
-  /// Config2d contract), 1D otherwise.
-  [[nodiscard]] Strategy effective_strategy() const noexcept {
-    if (mode == Strategy::kBlocked) {
-      return Strategy::kBlocked;
-    }
-    return num_col_tiles > 1 ? Strategy::k2D : Strategy::k1D;
-  }
-
   [[nodiscard]] std::string describe() const {
     std::string out;
     out += "strategy=";
@@ -119,32 +100,15 @@ struct Config {
     }
     // Strategy tokens only when the config leaves the 1D default, so 1D
     // bench config strings stay comparable across versions.
-    switch (effective_strategy()) {
-      case Strategy::k1D:
-        break;
-      case Strategy::k2D:
-        out += " col-tiles=";
-        out += std::to_string(num_col_tiles);
-        break;
-      case Strategy::kBlocked:
-        out += " mode=";
-        out += to_string(Strategy::kBlocked);
-        out += " block-cols=";
-        out += std::to_string(block_cols);
-        break;
+    if (mode == Strategy::kBlocked) {
+      out += " mode=";
+      out += to_string(Strategy::kBlocked);
+      out += " block-cols=";
+      out += std::to_string(block_cols);
     }
     return out;
   }
 };
-
-/// Deprecated alias, kept for one release cycle: the former 2D config
-/// type collapsed into Config, whose Strategy field (`mode`, plus
-/// `num_col_tiles` / `block_cols`) selects the execution space. Migrate
-/// `Config2d{base, n}` to a Config with `num_col_tiles = n` (see
-/// docs/API.md for the table).
-using Config2d [[deprecated(
-    "Config2d is now Config: select the execution space via "
-    "Config::mode / num_col_tiles / block_cols")]] = Config;
 
 /// One thread's share of a driver's compute phase — the measured side of
 /// the load-imbalance story (the model's predicted CV lives in
@@ -154,7 +118,7 @@ using Config2d [[deprecated(
 struct ThreadWork {
   int thread = 0;           ///< OpenMP thread number inside the region
   double busy_ms = 0.0;     ///< wall time spent executing tiles
-  std::int64_t tiles = 0;   ///< tiles (1D) or cells (2D) this thread ran
+  std::int64_t tiles = 0;   ///< tiles (1D) or cells (blocked) this thread ran
   std::int64_t rows = 0;    ///< row visits this thread performed
 };
 

@@ -888,7 +888,7 @@ class Engine {
         1, sopts.max_attempts > 0 ? sopts.max_attempts
                                   : options_.retry.max_attempts);
     const Plan<I>& plan = job->entry->plan;
-    // Cells per row tile: column blocks (blocked), column tiles (2D), 1 (1D).
+    // Cells per row tile: column blocks (blocked), 1 (1D).
     job->task_count = static_cast<std::int64_t>(plan.row_tiles.size() *
                                                 plan.cells_per_row_tile());
     // Driver buffers are NOT acquired here: binding is deferred to the
@@ -997,13 +997,13 @@ class Engine {
   /// governor for any capacity growth. ensure() only grows, so this is
   /// safe to call again after a retry replan swapped the job's plan.
   void ensure_buffers_for(Job& job, const Plan<I>& plan) {
-    const bool celled = plan.two_dimensional() || plan.is_blocked();
     const std::uint64_t before = buffer_bytes(*job.buffers);
     job.buffers->ensure(
         static_cast<std::size_t>(job.mask->nnz()),
         static_cast<std::size_t>(plan.rows),
-        celled ? static_cast<std::size_t>(plan.rows) * plan.cells_per_row_tile()
-               : 0);
+        plan.is_blocked()
+            ? static_cast<std::size_t>(plan.rows) * plan.cells_per_row_tile()
+            : 0);
     const std::uint64_t after = buffer_bytes(*job.buffers);
     if (after > before) {
       governor_.charge(after - before);
@@ -1271,33 +1271,18 @@ class Engine {
         job.degrades.fetch_add(tile.degrades, std::memory_order_relaxed);
 #if TILQ_METRICS_ENABLED
         if (MetricCounters* const tc = metrics_thread_counters()) {
-          const AccumulatorCounters d =
-              detail::counters_delta(acc.counters(), counters_at_entry);
+          AccumulatorCounters d = acc.counters() - counters_at_entry;
+          if constexpr (detail::FallbackAccumulator<Acc>::available) {
+            if (fallback.has_value()) {
+              d += fallback->counters();
+            }
+          }
           ++tc->tiles_executed;
           tc->rows_processed += static_cast<std::uint64_t>(tile.rows);
           tc->busy_ns +=
               static_cast<std::uint64_t>(busy.milliseconds() * 1e6);
-          tc->hash_probes += d.probes;
-          tc->hash_collisions += d.collisions;
-          tc->accum_inserts += d.inserts;
-          tc->accum_rejects += d.rejects;
-          tc->marker_row_resets += d.row_resets;
-          tc->marker_overflow_resets += d.full_resets;
-          tc->explicit_reset_slots += d.explicit_clears;
-          tc->accum_rehashes += d.rehashes;
+          detail::add_accumulator_counters(*tc, d);
           tc->accum_degrades += tile.degrades;
-          if constexpr (detail::FallbackAccumulator<Acc>::available) {
-            if (fallback.has_value()) {
-              const AccumulatorCounters& f = fallback->counters();
-              tc->hash_probes += f.probes;
-              tc->hash_collisions += f.collisions;
-              tc->accum_inserts += f.inserts;
-              tc->accum_rejects += f.rejects;
-              tc->marker_row_resets += f.row_resets;
-              tc->marker_overflow_resets += f.full_resets;
-              tc->explicit_reset_slots += f.explicit_clears;
-            }
-          }
         }
 #endif
       });
@@ -1541,8 +1526,7 @@ class Engine {
     if (config.accumulator == AccumulatorKind::kDense) {
       config.accumulator = AccumulatorKind::kHash;
     }
-    if (config.effective_strategy() == Strategy::kBlocked &&
-        config.block_cols > 512) {
+    if (config.mode == Strategy::kBlocked && config.block_cols > 512) {
       config.block_cols /= 2;
     }
     return config;

@@ -288,85 +288,4 @@ void compute_row(MaskStrategy strategy, double kappa, const Csr<T, I>& mask,
   }
 }
 
-namespace detail {
-
-/// Computes one (row, column-range) cell of the 2D-tiled driver: the mask
-/// segment of row i inside [col_begin, col_end) is loaded, A[i,:] is
-/// traversed, and each B row is scanned only inside the column range.
-/// Returns the number of outputs emitted (written at out_cols/out_vals).
-/// Hybrid decisions read the per-cell B-row segment length.
-template <Semiring SR, class T, class I, class Acc>
-I compute_cell(const Csr<T, I>& mask, const Csr<T, I>& a, const Csr<T, I>& b,
-               I i, I col_begin, I col_end, MaskStrategy strategy, double kappa,
-               Acc& acc, I* out_cols, T* out_vals) {
-  const auto full_mask = mask.row_cols(i);
-  const auto seg_first =
-      std::lower_bound(full_mask.begin(), full_mask.end(), col_begin);
-  const auto seg_last = std::lower_bound(seg_first, full_mask.end(), col_end);
-  const std::span<const I> mask_seg =
-      full_mask.subspan(static_cast<std::size_t>(seg_first - full_mask.begin()),
-                        static_cast<std::size_t>(seg_last - seg_first));
-  if (mask_seg.empty()) {
-    return 0;
-  }
-
-  acc.set_mask(mask_seg);
-  detail::KernelRowMetrics metrics;
-  const auto mask_nnz = static_cast<std::int64_t>(mask_seg.size());
-  const auto a_cols = a.row_cols(i);
-  const auto a_vals = a.row_vals(i);
-  for (std::size_t p = 0; p < a_cols.size(); ++p) {
-    const I k = a_cols[p];
-    const T scale = a_vals[p];
-    const auto b_cols = b.row_cols(k);
-    const auto b_vals = b.row_vals(k);
-    // Restrict the B row to the column range.
-    const auto b_first = std::lower_bound(b_cols.begin(), b_cols.end(), col_begin);
-    const auto b_first_idx = static_cast<std::size_t>(b_first - b_cols.begin());
-    std::size_t b_count = 0;
-    for (auto it = b_first; it != b_cols.end() && *it < col_end; ++it) {
-      ++b_count;
-    }
-
-    const bool coiterate =
-        strategy == MaskStrategy::kCoIterate ||
-        (strategy == MaskStrategy::kHybrid &&
-         detail::prefer_coiteration(mask_nnz, static_cast<std::int64_t>(b_count),
-                                    kappa));
-    if (coiterate) {
-      if (strategy == MaskStrategy::kHybrid) {
-        ++metrics.hybrid_coiter_picks;
-      }
-      for (const I j : mask_seg) {
-        const std::size_t q = detail::lower_bound_index(
-            b_cols, b_first_idx, j, metrics.binary_search_steps);
-        if (q < b_cols.size() && b_cols[q] == j) {
-          ++metrics.flops;
-          acc.accumulate(j, SR::mul(scale, b_vals[q]));
-        }
-      }
-    } else {
-      if (strategy == MaskStrategy::kHybrid) {
-        ++metrics.hybrid_linear_picks;
-      }
-      metrics.flops += b_count;
-      for (std::size_t q = b_first_idx; q < b_first_idx + b_count; ++q) {
-        acc.accumulate(b_cols[q], SR::mul(scale, b_vals[q]));
-      }
-    }
-  }
-
-  I count = 0;
-  acc.gather(mask_seg, [&](I col, T value) {
-    out_cols[count] = col;
-    out_vals[count] = value;
-    ++count;
-  });
-  acc.finish_row(mask_seg);
-  metrics.flush();
-  return count;
-}
-
-}  // namespace detail
-
 }  // namespace tilq

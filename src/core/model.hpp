@@ -47,6 +47,8 @@ struct ProblemFeatures {
   double coiteration_signal = 0.0;
 };
 
+/// Runs serially and opens no OpenMP team: the batch engine calls it on
+/// client threads, beside its pool workers.
 template <class T, class I>
 ProblemFeatures extract_features(const Csr<T, I>& mask, const Csr<T, I>& a,
                                  const Csr<T, I>& b) {
@@ -56,7 +58,7 @@ ProblemFeatures extract_features(const Csr<T, I>& mask, const Csr<T, I>& a,
   f.mask_nnz = mask.nnz();
   f.a_nnz = a.nnz();
   f.b_nnz = b.nnz();
-  f.flops = total_flops(a, b);
+  f.flops = total_flops(a, b, /*parallel=*/false);
   f.mean_mask_row =
       f.rows > 0 ? static_cast<double>(f.mask_nnz) / static_cast<double>(f.rows)
                  : 0.0;
@@ -66,7 +68,7 @@ ProblemFeatures extract_features(const Csr<T, I>& mask, const Csr<T, I>& a,
                               : 0.0;
   f.max_b_row = max_row_nnz(b);
 
-  const auto work = row_work(mask, a, b);
+  const auto work = row_work(mask, a, b, /*parallel=*/false);
   double sum = 0.0;
   double sum_sq = 0.0;
   for (const std::int64_t w : work) {

@@ -23,9 +23,8 @@
 // their reuse (continued marker epochs, retained hash capacity) cannot
 // reorder sums.
 //
-// masked_spgemm / masked_spgemm_2d are thin wrappers over this machinery
-// (plan once, execute once); see docs/API.md for the lifecycle and the
-// migration table.
+// masked_spgemm is a thin wrapper over this machinery (plan once, execute
+// once); see docs/API.md for the lifecycle and the migration table.
 #pragma once
 
 #include <omp.h>
@@ -78,7 +77,6 @@ class StalePlanError : public StaleError {
 struct PlanInfo {
   std::uint64_t fingerprint = 0;      ///< rowptr/colidx hash of M, A, B
   std::int64_t row_tiles = 0;
-  std::int64_t col_tiles = 1;         ///< 1 on the 1D path
   std::int64_t accumulator_bound = 0; ///< per-row accumulator sizing
   /// A nonzeros whose (i,k) κ test the 1D hybrid kernel runs: nnz(A) on a
   /// 1D hybrid plan, 0 otherwise.
@@ -134,7 +132,7 @@ struct DriverBuffers {
   std::vector<I> bound_cols;
   std::vector<T> bound_vals;
   std::vector<I> row_counts;
-  std::vector<I> cell_counts;  ///< 2D only: rows x col_tiles, row-major
+  std::vector<I> cell_counts;  ///< blocked only: rows x blocks, row-major
   std::uint64_t grows = 0;     ///< how many ensure() calls had to grow
 
   void ensure(std::size_t mask_nnz, std::size_t rows, std::size_t cells) {
@@ -163,30 +161,24 @@ struct Plan {
   I cols = 0;
   std::int64_t mask_nnz = 0;
   std::vector<Tile> row_tiles;
-  std::vector<Tile> col_tiles;  ///< single full-width tile on the 1D path
   /// Eq-2 work total Σ_i (nnz(M[i,:]) + Σ_{A[i,k]≠0} nnz(B[k,:])) — the
   /// cost model's per-query price tag. The batch engine's admission stage
   /// classifies jobs cheap/expensive from it (docs/SERVING.md), so a plan
   /// cache hit prices a repeat structure for free.
   std::int64_t flop_total = 0;
   I accumulator_bound = 0;
-  /// Whether the plan targets the 2D (row x column tile) driver.
-  bool two_d = false;
   /// Blocked-strategy artifacts (column-block slices, per-tile dense
   /// verdicts); null unless the plan was built with Strategy::kBlocked.
   /// Shared so plan copies (the engine's cache hands plans around) do not
   /// duplicate the slices.
   std::shared_ptr<const BlockedLayout<I>> blocked;
 
-  [[nodiscard]] bool two_dimensional() const noexcept { return two_d; }
   [[nodiscard]] bool is_blocked() const noexcept { return blocked != nullptr; }
-  /// Cells one row tile fans out into: column blocks (blocked), column
-  /// tiles (2D), or 1 (1D). task_count = row_tiles.size() x this.
+  /// Cells one row tile fans out into: column blocks (blocked) or 1 (1D).
+  /// task_count = row_tiles.size() x this.
   [[nodiscard]] std::size_t cells_per_row_tile() const noexcept {
-    if (blocked != nullptr) {
-      return static_cast<std::size_t>(blocked->num_blocks());
-    }
-    return two_d ? std::max<std::size_t>(1, col_tiles.size()) : 1;
+    return blocked != nullptr ? static_cast<std::size_t>(blocked->num_blocks())
+                              : 1;
   }
 };
 
@@ -235,11 +227,9 @@ template <class T, class I>
   require(a.cols() == b.rows(), "plan: inner dimensions must agree");
   require(mask.rows() == a.rows() && mask.cols() == b.cols(),
           "plan: mask shape must equal output shape");
-  const Strategy space = config.effective_strategy();
-  const bool two_d = space == Strategy::k2D;
-  const bool blocked = space == Strategy::kBlocked;
-  require(!((two_d || blocked) && config.strategy == MaskStrategy::kVanilla),
-          "plan: the vanilla strategy has no column-tiled (2D/blocked) "
+  const bool blocked = config.mode == Strategy::kBlocked;
+  require(!(blocked && config.strategy == MaskStrategy::kVanilla),
+          "plan: the vanilla strategy has no column-tiled (blocked) "
           "formulation");
   if (config.validate_inputs) {
     // Structural validation at the plan boundary (Config::validate_inputs,
@@ -254,7 +244,6 @@ template <class T, class I>
                              kSerialPlanCutoff;
   Plan<I> plan;
   plan.info.fingerprint = fingerprint;
-  plan.two_d = two_d;
   plan.rows = a.rows();
   plan.inner = a.cols();
   plan.cols = b.cols();
@@ -265,8 +254,7 @@ template <class T, class I>
       config.num_tiles > 0 ? config.num_tiles
                            : 2 * static_cast<std::int64_t>(threads);
   {
-    TraceSpan span(blocked ? "spgemmblk.analyze"
-                           : (two_d ? "spgemm2d.analyze" : "spgemm.analyze"));
+    TraceSpan span(blocked ? "spgemmblk.analyze" : "spgemm.analyze");
     if (config.tiling == Tiling::kFlopBalanced || blocked) {
       // The blocked strategy needs the per-row Eq-2 work even under uniform
       // tiling: hub-row splitting reads it.
@@ -294,15 +282,6 @@ template <class T, class I>
       plan.flop_total = plan.mask_nnz + total_flops(a, b, parallel);
       plan.row_tiles = make_uniform_tiles(plan.rows, num_tiles);
     }
-    if (two_d) {
-      plan.col_tiles = make_uniform_tiles(
-          b.cols(), std::max<std::int64_t>(1, config.num_col_tiles));
-      if (plan.col_tiles.empty()) {
-        plan.col_tiles.push_back({0, 0});  // zero-column matrix
-      }
-    } else {
-      plan.col_tiles.assign(1, Tile{0, static_cast<std::int64_t>(b.cols())});
-    }
     plan.accumulator_bound =
         detail::accumulator_row_bound(mask, a, b, config.strategy);
     if (blocked) {
@@ -314,26 +293,15 @@ template <class T, class I>
       plan.accumulator_bound = std::max<I>(I{1}, layout->max_seg_entries);
       plan.info.dense_tiles = layout->dense_tiles;
       plan.info.sparse_tiles = layout->sparse_tiles;
-      // Expose the block grid through col_tiles for introspection; the
-      // driver itself walks the layout's slices.
-      plan.col_tiles.clear();
-      for (std::int64_t t = 0; t < layout->num_blocks(); ++t) {
-        plan.col_tiles.push_back(
-            {static_cast<std::int64_t>(
-                 layout->block_begin[static_cast<std::size_t>(t)]),
-             static_cast<std::int64_t>(
-                 layout->block_begin[static_cast<std::size_t>(t) + 1])});
-      }
       plan.blocked = std::move(layout);
     }
   }
 
   plan.info.row_tiles = static_cast<std::int64_t>(plan.row_tiles.size());
-  plan.info.col_tiles = static_cast<std::int64_t>(plan.col_tiles.size());
   plan.info.accumulator_bound =
       static_cast<std::int64_t>(plan.accumulator_bound);
   plan.info.hybrid_decisions =
-      !two_d && !blocked && config.strategy == MaskStrategy::kHybrid
+      !blocked && config.strategy == MaskStrategy::kHybrid
           ? static_cast<std::int64_t>(a.nnz())
           : 0;
   plan.info.flop_total = plan.flop_total;
@@ -371,23 +339,6 @@ inline void finalize_thread_work(std::vector<ThreadWork>&& work,
     stats->busy_cv = std::sqrt(variance) / mean;
   }
   stats->thread_work = std::move(work);
-}
-
-/// Per-execute delta of the accumulator counters: pooled accumulators keep
-/// counting across executes, so each call reports counters() minus the
-/// snapshot taken right after acquire().
-inline AccumulatorCounters counters_delta(const AccumulatorCounters& after,
-                                          const AccumulatorCounters& before) {
-  AccumulatorCounters d;
-  d.full_resets = after.full_resets - before.full_resets;
-  d.probes = after.probes - before.probes;
-  d.inserts = after.inserts - before.inserts;
-  d.rejects = after.rejects - before.rejects;
-  d.collisions = after.collisions - before.collisions;
-  d.row_resets = after.row_resets - before.row_resets;
-  d.explicit_clears = after.explicit_clears - before.explicit_clears;
-  d.rehashes = after.rehashes - before.rehashes;
-  return d;
 }
 
 /// Degradation target when an accumulator saturates: the hash accumulator
@@ -493,116 +444,57 @@ TileTaskStats run_scalar_tile_task(
     DriverBuffers<T, I>& buffers) {
   using Fallback = FallbackAccumulator<Acc>;
   const auto mask_row_ptr = mask.row_ptr();
+  const Tile tile = plan.row_tiles[static_cast<std::size_t>(task)];
+  TraceSpan tile_span("tile", task);
   TileTaskStats out;
-  if (!plan.two_dimensional()) {
-    const Tile tile = plan.row_tiles[static_cast<std::size_t>(task)];
-    TraceSpan tile_span("tile", task);
-    out.rows += tile.row_end - tile.row_begin;
-    for (I i = static_cast<I>(tile.row_begin);
-         i < static_cast<I>(tile.row_end); ++i) {
-      I* out_cols = buffers.bound_cols.data() +
-                    mask_row_ptr[static_cast<std::size_t>(i)];
-      T* out_vals = buffers.bound_vals.data() +
-                    mask_row_ptr[static_cast<std::size_t>(i)];
-      I count = 0;
-      const auto emit = [&](I col, T value) {
-        out_cols[count] = col;
-        out_vals[count] = value;
-        ++count;
-      };
-      if constexpr (Fallback::available) {
-        try {
-          compute_row<SR>(config.strategy, config.coiteration_factor, mask, a,
-                          b, i, acc, emit);
-        } catch (const AccumulatorSaturatedError&) {
-          if (!config.degrade_on_saturation) {
-            throw;
-          }
-          // The kernels emit only while gathering at the end of a row, so a
-          // saturation mid-row has produced no output yet; discard the hash
-          // accumulator's partial epoch and replay the whole row on the
-          // dense fallback. Accumulation and gather order are unchanged
-          // => bit-identical values.
-          acc.abort_row();
-          count = 0;
-          if (!fallback.has_value()) {
-            fallback.emplace(plan.cols, config.reset);
-          }
-          compute_row<SR>(config.strategy, config.coiteration_factor, mask, a,
-                          b, i, *fallback, emit);
-          ++out.degrades;
-        }
-      } else {
+  out.rows += tile.row_end - tile.row_begin;
+  for (I i = static_cast<I>(tile.row_begin); i < static_cast<I>(tile.row_end);
+       ++i) {
+    I* out_cols =
+        buffers.bound_cols.data() + mask_row_ptr[static_cast<std::size_t>(i)];
+    T* out_vals =
+        buffers.bound_vals.data() + mask_row_ptr[static_cast<std::size_t>(i)];
+    I count = 0;
+    const auto emit = [&](I col, T value) {
+      out_cols[count] = col;
+      out_vals[count] = value;
+      ++count;
+    };
+    if constexpr (Fallback::available) {
+      try {
         compute_row<SR>(config.strategy, config.coiteration_factor, mask, a, b,
                         i, acc, emit);
-      }
-      buffers.row_counts[static_cast<std::size_t>(i)] = count;
-    }
-  } else {
-    const std::size_t col_tile_count =
-        std::max<std::size_t>(1, plan.col_tiles.size());
-    const Tile row_tile =
-        plan.row_tiles[static_cast<std::size_t>(task) / col_tile_count];
-    const std::size_t ct = static_cast<std::size_t>(task) % col_tile_count;
-    const Tile col_tile = plan.col_tiles[ct];
-    TraceSpan tile_span("tile2d", task);
-    // In 2D a row is visited once per column tile; each visit counts.
-    out.rows += row_tile.row_end - row_tile.row_begin;
-    for (I i = static_cast<I>(row_tile.row_begin);
-         i < static_cast<I>(row_tile.row_end); ++i) {
-      // The cell writes into the slice of row i's mask-bounded slot that
-      // corresponds to mask columns in [col_begin, col_end).
-      const auto row_mask = mask.row_cols(i);
-      const auto seg_first =
-          std::lower_bound(row_mask.begin(), row_mask.end(),
-                           static_cast<I>(col_tile.row_begin));
-      const auto seg_offset =
-          static_cast<std::size_t>(seg_first - row_mask.begin());
-      const auto slot = static_cast<std::size_t>(
-                            mask_row_ptr[static_cast<std::size_t>(i)]) +
-                        seg_offset;
-      I cell_count = 0;
-      if constexpr (Fallback::available) {
-        try {
-          cell_count = compute_cell<SR>(
-              mask, a, b, i, static_cast<I>(col_tile.row_begin),
-              static_cast<I>(col_tile.row_end), config.strategy,
-              config.coiteration_factor, acc, buffers.bound_cols.data() + slot,
-              buffers.bound_vals.data() + slot);
-        } catch (const AccumulatorSaturatedError&) {
-          if (!config.degrade_on_saturation) {
-            throw;
-          }
-          acc.abort_row();
-          if (!fallback.has_value()) {
-            fallback.emplace(plan.cols, config.reset);
-          }
-          cell_count = compute_cell<SR>(
-              mask, a, b, i, static_cast<I>(col_tile.row_begin),
-              static_cast<I>(col_tile.row_end), config.strategy,
-              config.coiteration_factor, *fallback,
-              buffers.bound_cols.data() + slot,
-              buffers.bound_vals.data() + slot);
-          ++out.degrades;
+      } catch (const AccumulatorSaturatedError&) {
+        if (!config.degrade_on_saturation) {
+          throw;
         }
-      } else {
-        cell_count = compute_cell<SR>(
-            mask, a, b, i, static_cast<I>(col_tile.row_begin),
-            static_cast<I>(col_tile.row_end), config.strategy,
-            config.coiteration_factor, acc, buffers.bound_cols.data() + slot,
-            buffers.bound_vals.data() + slot);
+        // The kernels emit only while gathering at the end of a row, so a
+        // saturation mid-row has produced no output yet; discard the hash
+        // accumulator's partial epoch and replay the whole row on the
+        // dense fallback. Accumulation and gather order are unchanged
+        // => bit-identical values.
+        acc.abort_row();
+        count = 0;
+        if (!fallback.has_value()) {
+          fallback.emplace(plan.cols, config.reset);
+        }
+        compute_row<SR>(config.strategy, config.coiteration_factor, mask, a, b,
+                        i, *fallback, emit);
+        ++out.degrades;
       }
-      buffers.cell_counts[static_cast<std::size_t>(i) * col_tile_count + ct] =
-          cell_count;
+    } else {
+      compute_row<SR>(config.strategy, config.coiteration_factor, mask, a, b,
+                      i, acc, emit);
     }
+    buffers.row_counts[static_cast<std::size_t>(i)] = count;
   }
   return out;
 }
 
 /// Compile-time dispatch over the workspace type: a BlockedWorkspace runs
-/// the blocked driver, a plain accumulator the 1D/2D ones. Instantiating
-/// only the matching branch is what lets one worksharing loop (and the
-/// engine's one pool-worker body) serve all three execution spaces.
+/// the blocked driver, a plain accumulator the 1D one. Instantiating only
+/// the matching branch is what lets one worksharing loop (and the engine's
+/// one pool-worker body) serve both execution spaces.
 template <Semiring SR, class T, class I, class Acc>
 TileTaskStats run_tile_task(
     const Plan<I>& plan, const Config& config, const Csr<T, I>& mask,
@@ -628,12 +520,12 @@ Csr<T, I> compact_planned(const Plan<I>& plan, const Csr<T, I>& mask,
                           DriverBuffers<T, I>& buffers, bool parallel) {
   const I rows = plan.rows;
   const auto mask_row_ptr = mask.row_ptr();
-  const std::size_t col_tile_count = plan.cells_per_row_tile();
-  if (plan.two_dimensional() || plan.is_blocked()) {
+  const std::size_t cells = plan.cells_per_row_tile();
+  if (plan.is_blocked()) {
     parallel_for(I{0}, rows, parallel, [&](I i) {
       I total = 0;
-      for (std::size_t ct = 0; ct < col_tile_count; ++ct) {
-        total += buffers.cell_counts[static_cast<std::size_t>(i) * col_tile_count + ct];
+      for (std::size_t ct = 0; ct < cells; ++ct) {
+        total += buffers.cell_counts[static_cast<std::size_t>(i) * cells + ct];
       }
       buffers.row_counts[static_cast<std::size_t>(i)] = total;
     });
@@ -650,11 +542,11 @@ Csr<T, I> compact_planned(const Plan<I>& plan, const Csr<T, I>& mask,
     const BlockedLayout<I>& layout = *plan.blocked;
     parallel_for(I{0}, rows, parallel, [&](I i) {
       auto dst = static_cast<std::size_t>(out_row_ptr[static_cast<std::size_t>(i)]);
-      for (std::size_t ct = 0; ct < col_tile_count; ++ct) {
+      for (std::size_t ct = 0; ct < cells; ++ct) {
         const auto slot = static_cast<std::size_t>(
             layout.m_blocks[ct].entry_begin[static_cast<std::size_t>(i)]);
         const auto len = static_cast<std::size_t>(
-            buffers.cell_counts[static_cast<std::size_t>(i) * col_tile_count + ct]);
+            buffers.cell_counts[static_cast<std::size_t>(i) * cells + ct]);
         for (std::size_t p = 0; p < len; ++p) {
           out_cols[dst + p] = buffers.bound_cols[slot + p];
           out_vals[dst + p] = buffers.bound_vals[slot + p];
@@ -662,7 +554,7 @@ Csr<T, I> compact_planned(const Plan<I>& plan, const Csr<T, I>& mask,
         dst += len;
       }
     });
-  } else if (!plan.two_dimensional()) {
+  } else {
     parallel_for(I{0}, rows, parallel, [&](I i) {
       const auto src = static_cast<std::size_t>(mask_row_ptr[static_cast<std::size_t>(i)]);
       const auto dst = static_cast<std::size_t>(out_row_ptr[static_cast<std::size_t>(i)]);
@@ -672,38 +564,19 @@ Csr<T, I> compact_planned(const Plan<I>& plan, const Csr<T, I>& mask,
         out_vals[dst + p] = buffers.bound_vals[src + p];
       }
     });
-  } else {
-    // Stitch each row's column-tile segments back together in tile order.
-    parallel_for(I{0}, rows, parallel, [&](I i) {
-      auto dst = static_cast<std::size_t>(out_row_ptr[static_cast<std::size_t>(i)]);
-      const auto row_mask = mask.row_cols(i);
-      for (std::size_t ct = 0; ct < col_tile_count; ++ct) {
-        const Tile col_tile = plan.col_tiles[ct];
-        const auto seg_first =
-            std::lower_bound(row_mask.begin(), row_mask.end(),
-                             static_cast<I>(col_tile.row_begin));
-        const auto slot = static_cast<std::size_t>(
-                              mask_row_ptr[static_cast<std::size_t>(i)]) +
-                          static_cast<std::size_t>(seg_first - row_mask.begin());
-        const auto len = static_cast<std::size_t>(
-            buffers.cell_counts[static_cast<std::size_t>(i) * col_tile_count + ct]);
-        for (std::size_t p = 0; p < len; ++p) {
-          out_cols[dst + p] = buffers.bound_cols[slot + p];
-          out_vals[dst + p] = buffers.bound_vals[slot + p];
-        }
-        dst += len;
-      }
-    });
   }
   return Csr<T, I>(rows, plan.cols, std::move(out_row_ptr),
                    std::move(out_cols), std::move(out_vals));
 }
 
+/// Lets planned_execute's team reduce whole counter sets.
+#pragma omp declare reduction(+ : AccumulatorCounters : omp_out += omp_in) \
+    initializer(omp_priv = AccumulatorCounters{})
+
 /// The numeric phase (compute + compact) against a built plan. Handles the
-/// 1D, 2D, and blocked drivers; trace span names stay those of the original
-/// drivers ("spgemm.*" / "tile" when the plan is 1D, "spgemm2d.*" /
-/// "tile2d" when 2D) so existing trace consumers keep working; the blocked
-/// path adds "spgemmblk.*" / "tileblk".
+/// 1D and blocked drivers; trace span names stay those of the original 1D
+/// driver ("spgemm.*" / "tile") so existing trace consumers keep working;
+/// the blocked path adds "spgemmblk.*" / "tileblk".
 ///
 /// `make` constructs one accumulator for the current plan+config;
 /// `capability` is the pool's rebuild key (columns for dense/bitmap, row
@@ -715,32 +588,22 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
                           std::uint64_t capability, MakeAcc&& make,
                           DriverBuffers<T, I>& buffers,
                           ExecutionStats* stats) {
-  const bool two_d = plan.two_dimensional();
   const bool blocked = plan.is_blocked();
   WallTimer phase;
   const I rows = a.rows();
   const int threads = config.threads > 0 ? config.threads : max_threads();
 
-  const std::size_t col_tile_count = plan.cells_per_row_tile();
+  const std::size_t cells = plan.cells_per_row_tile();
   buffers.ensure(static_cast<std::size_t>(mask.nnz()),
                  static_cast<std::size_t>(rows),
-                 (two_d || blocked)
-                     ? static_cast<std::size_t>(rows) * col_tile_count
-                     : 0);
+                 blocked ? static_cast<std::size_t>(rows) * cells : 0);
   pool.reserve(threads);
 
   set_runtime_schedule(config.schedule);
-  const auto task_count = static_cast<std::int64_t>(
-      plan.row_tiles.size() * ((two_d || blocked) ? col_tile_count : 1));
+  const auto task_count =
+      static_cast<std::int64_t>(plan.row_tiles.size() * cells);
 
-  std::uint64_t total_resets = 0;
-  std::uint64_t total_probes = 0;
-  std::uint64_t total_inserts = 0;
-  std::uint64_t total_rejects = 0;
-  std::uint64_t total_collisions = 0;
-  std::uint64_t total_row_resets = 0;
-  std::uint64_t total_explicit_clears = 0;
-  std::uint64_t total_rehashes = 0;
+  AccumulatorCounters totals;
   std::uint64_t total_degrades = 0;
 
   // Per-thread compute shares, indexed by OpenMP thread number; the
@@ -755,14 +618,9 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
   using Fallback = FallbackAccumulator<Acc>;
 
   {
-    TraceSpan compute_span(blocked ? "spgemmblk.compute"
-                                   : (two_d ? "spgemm2d.compute"
-                                            : "spgemm.compute"));
+    TraceSpan compute_span(blocked ? "spgemmblk.compute" : "spgemm.compute");
 
-#pragma omp parallel num_threads(threads)                                  \
-    reduction(+ : total_resets, total_probes, total_inserts, total_rejects, \
-                  total_collisions, total_row_resets, total_explicit_clears, \
-                  total_rehashes, total_degrades)
+#pragma omp parallel num_threads(threads) reduction(+ : totals, total_degrades)
     {
       const int thread_num = omp_get_thread_num();
 #pragma omp single
@@ -814,30 +672,16 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
 
       AccumulatorCounters acc_counters;
       if (acc != nullptr) {
-        acc_counters = counters_delta(acc->counters(), counters_at_entry);
+        acc_counters = acc->counters() - counters_at_entry;
       }
       if constexpr (Fallback::available) {
         // The fallback is built fresh each execute, so its counters need no
         // entry snapshot; fold them so degraded rows stay observable.
         if (fallback.has_value()) {
-          const AccumulatorCounters& f = fallback->counters();
-          acc_counters.full_resets += f.full_resets;
-          acc_counters.probes += f.probes;
-          acc_counters.inserts += f.inserts;
-          acc_counters.rejects += f.rejects;
-          acc_counters.collisions += f.collisions;
-          acc_counters.row_resets += f.row_resets;
-          acc_counters.explicit_clears += f.explicit_clears;
+          acc_counters += fallback->counters();
         }
       }
-      total_resets += acc_counters.full_resets;
-      total_probes += acc_counters.probes;
-      total_inserts += acc_counters.inserts;
-      total_rejects += acc_counters.rejects;
-      total_collisions += acc_counters.collisions;
-      total_row_resets += acc_counters.row_resets;
-      total_explicit_clears += acc_counters.explicit_clears;
-      total_rehashes += acc_counters.rehashes;
+      totals += acc_counters;
       total_degrades += my_degrades;
 #if TILQ_METRICS_ENABLED
       // Per-accumulator counters fold into the owning thread's global slot
@@ -846,14 +690,7 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
         thread_counters->tiles_executed += static_cast<std::uint64_t>(my_tiles);
         thread_counters->rows_processed += static_cast<std::uint64_t>(my_rows);
         thread_counters->busy_ns += static_cast<std::uint64_t>(busy_ms * 1e6);
-        thread_counters->hash_probes += acc_counters.probes;
-        thread_counters->hash_collisions += acc_counters.collisions;
-        thread_counters->accum_inserts += acc_counters.inserts;
-        thread_counters->accum_rejects += acc_counters.rejects;
-        thread_counters->marker_row_resets += acc_counters.row_resets;
-        thread_counters->marker_overflow_resets += acc_counters.full_resets;
-        thread_counters->explicit_reset_slots += acc_counters.explicit_clears;
-        thread_counters->accum_rehashes += acc_counters.rehashes;
+        add_accumulator_counters(*thread_counters, acc_counters);
         thread_counters->accum_degrades += my_degrades;
         if (HwCounters* const hw = metrics_thread_hw()) {
           *hw += perf_scope.delta();
@@ -866,14 +703,14 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
   if (stats != nullptr) {
     stats->compute_ms = phase.milliseconds();
     stats->tiles = task_count;
-    stats->accumulator_full_resets = total_resets;
-    stats->hash_probes = total_probes;
-    stats->accum_inserts = total_inserts;
-    stats->accum_rejects = total_rejects;
-    stats->hash_collisions = total_collisions;
-    stats->marker_row_resets = total_row_resets;
-    stats->explicit_reset_slots = total_explicit_clears;
-    stats->accum_rehashes = total_rehashes;
+    stats->accumulator_full_resets = totals.full_resets;
+    stats->hash_probes = totals.probes;
+    stats->accum_inserts = totals.inserts;
+    stats->accum_rejects = totals.rejects;
+    stats->hash_collisions = totals.collisions;
+    stats->marker_row_resets = totals.row_resets;
+    stats->explicit_reset_slots = totals.explicit_clears;
+    stats->accum_rehashes = totals.rehashes;
     stats->accum_degrades = total_degrades;
     stats->degraded = total_degrades > 0;
   }
@@ -881,9 +718,7 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
 
   // --- compact -----------------------------------------------------------
   phase.reset();
-  TraceSpan compact_span(blocked ? "spgemmblk.compact"
-                                 : (two_d ? "spgemm2d.compact"
-                                          : "spgemm.compact"));
+  TraceSpan compact_span(blocked ? "spgemmblk.compact" : "spgemm.compact");
   Csr<T, I> result = compact_planned(plan, mask, buffers, /*parallel=*/true);
   if (stats != nullptr) {
     stats->compact_ms = phase.milliseconds();
@@ -903,8 +738,7 @@ template <Semiring SR, class T = typename SR::value_type,
           class I = std::int64_t>
 class Executor {
  public:
-  /// Structure phase. Config::effective_strategy() selects the 1D, 2D, or
-  /// blocked driver.
+  /// Structure phase. Config::mode selects the 1D or blocked driver.
   void plan(const Csr<T, I>& mask, const Csr<T, I>& a, const Csr<T, I>& b,
             const Config& config = {}) {
     static_assert(std::is_same_v<T, typename SR::value_type>,

@@ -49,8 +49,8 @@ std::int64_t tile_work(const Tile& tile, std::span<const std::int64_t> work_pref
 
 /// Splits hub rows out of `tiles`: every row whose estimated work exceeds
 /// `hub_threshold` becomes a singleton tile of its own, preserving row
-/// order and coverage. With a column-tiled grid (2D / blocked) a
-/// singleton row tile still fans out into one task per column tile, so a
+/// order and coverage. Under the blocked space's column blocks a
+/// singleton row tile still fans out into one task per block, so a
 /// circuit-style ultra-dense row parallelizes INSIDE the row instead of
 /// serializing one task. Returns the refined tiling; `splits` (when
 /// non-null) receives the number of hub rows split out.

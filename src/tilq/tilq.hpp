@@ -61,7 +61,6 @@
 #include "core/engine.hpp"
 #include "core/kernels.hpp"
 #include "core/masked_spgemm.hpp"
-#include "core/masked_spgemm_2d.hpp"
 #include "core/plan.hpp"
 #include "core/model.hpp"
 #include "core/semiring.hpp"

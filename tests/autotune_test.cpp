@@ -30,7 +30,7 @@ using SR = PlusTimes<double>;
 /// else. Drives the bandit with select/report until the fingerprint
 /// freezes; returns the number of draws it took.
 double synthetic_cost(const Config& config) {
-  return (config.effective_strategy() == Strategy::kBlocked &&
+  return (config.mode == Strategy::kBlocked &&
           config.accumulator == AccumulatorKind::kDense)
              ? 0.1
              : 1.0;
@@ -45,18 +45,15 @@ TEST_F(AutotuneBanditTest, CandidateArmsStartWithSubmittedAndDeduplicate) {
   ASSERT_FALSE(arms.empty());
   EXPECT_TRUE(arms.front() == submitted);
   bool has_blocked = false;
-  bool has_2d = false;
   bool has_hybrid = false;
   for (std::size_t i = 0; i < arms.size(); ++i) {
     for (std::size_t j = i + 1; j < arms.size(); ++j) {
       EXPECT_FALSE(arms[i] == arms[j]) << "duplicate arms " << i << "," << j;
     }
     has_blocked |= arms[i].mode == Strategy::kBlocked;
-    has_2d |= arms[i].mode == Strategy::k2D;
     has_hybrid |= arms[i].strategy == MaskStrategy::kHybrid;
   }
   EXPECT_TRUE(has_blocked);
-  EXPECT_TRUE(has_2d);
   EXPECT_TRUE(has_hybrid);
 }
 
@@ -83,7 +80,7 @@ TEST_F(AutotuneBanditTest, ConvergesOntoSyntheticBestArm) {
   const std::vector<ArmStats> arms = bandit.arms(fp);
   ASSERT_GE(best, 0);
   const Config& winner = arms[static_cast<std::size_t>(best)].config;
-  EXPECT_EQ(winner.effective_strategy(), Strategy::kBlocked);
+  EXPECT_EQ(winner.mode, Strategy::kBlocked);
   EXPECT_EQ(winner.accumulator, AccumulatorKind::kDense);
   // Frozen: every further select serves the winner without exploring.
   for (int i = 0; i < 20; ++i) {

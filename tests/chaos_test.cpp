@@ -47,8 +47,9 @@ class ChaosSoakTest : public ::testing::Test {
 };
 
 TEST_F(ChaosSoakTest, MixedStreamUnderRandomFaultsKeepsTheContract) {
-  // A small zoo of shapes x configs so the stream exercises the 1D, 2D,
-  // and blocked execution spaces and all three accumulators.
+  // A small zoo of shapes x configs so the stream exercises the 1D and
+  // blocked execution spaces (narrow and auto block widths) and all three
+  // accumulators.
   std::vector<Problem> problems;
   std::uint64_t seed = 300;
   const AccumulatorKind accumulators[] = {
@@ -66,8 +67,8 @@ TEST_F(ChaosSoakTest, MixedStreamUnderRandomFaultsKeepsTheContract) {
       seed += 10;
       p.config.accumulator = accumulators[mode];
       if (mode == 1) {
-        p.config.mode = Strategy::k2D;
-        p.config.num_col_tiles = 2;
+        p.config.mode = Strategy::kBlocked;
+        p.config.block_cols = 9;
       } else if (mode == 2) {
         p.config.mode = Strategy::kBlocked;
       }

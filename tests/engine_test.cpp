@@ -1,5 +1,5 @@
 // Batch engine tests: bit-identity with the single-call path across
-// configs (including 2D tiling and degradation), exact plan-cache
+// configs (including the blocked space and degradation), exact plan-cache
 // accounting under serial and concurrent submission, the once-latch that
 // builds a cold (structure, config) key once, backpressure
 // (EngineSaturatedError + jobs_rejected), per-job failure isolation under
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/masked_spgemm.hpp"
-#include "core/masked_spgemm_2d.hpp"
 #include "support/fault.hpp"
 #include "support/metrics.hpp"
 #include "test_util.hpp"
@@ -79,11 +78,6 @@ TEST_F(EngineTest, BitIdenticalToSingleCallPathAcrossConfigs) {
       config.accumulator = acc;
       configs.push_back(config);
     }
-  }
-  {
-    Config two_d;
-    two_d.num_col_tiles = 3;
-    configs.push_back(two_d);
   }
   for (const AccumulatorKind acc :
        {AccumulatorKind::kHash, AccumulatorKind::kDense,

@@ -12,7 +12,6 @@
 
 #include "core/blocked.hpp"
 #include "core/masked_spgemm.hpp"
-#include "core/masked_spgemm_2d.hpp"
 #include "core/spgemm.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/validate.hpp"
@@ -72,26 +71,6 @@ TEST_P(FuzzRounds, RandomProblemRandomConfigMatchesOracle) {
     ASSERT_TRUE(test::csr_equal(expected, actual))
         << config.describe() << " shape " << rows << "x" << inner << "x"
         << cols << " density " << density;
-  }
-}
-
-TEST_P(FuzzRounds, TwoDeeTilingAgreesWithOneDee) {
-  Xoshiro256 rng(GetParam() * 104729);
-  for (int round = 0; round < 6; ++round) {
-    const I n = static_cast<I>(8 + rng.uniform_below(80));
-    const auto a = test::random_matrix<double, I>(n, n, 0.1 + 0.2 * rng.uniform(),
-                                                  rng());
-    Config config = random_config(rng);
-    if (config.strategy == MaskStrategy::kVanilla) {
-      config.strategy = MaskStrategy::kHybrid;  // unsupported in 2D
-    }
-    Config one_d_config = config;  // same knobs, 1D execution space
-    config.num_col_tiles = static_cast<std::int64_t>(1 + rng.uniform_below(20));
-
-    const auto one_d = masked_spgemm<SR>(a, a, a, one_d_config);
-    const auto two_d = masked_spgemm_2d<SR>(a, a, a, config);
-    ASSERT_TRUE(test::csr_equal(one_d, two_d))
-        << one_d_config.describe() << " col_tiles " << config.num_col_tiles;
   }
 }
 

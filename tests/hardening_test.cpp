@@ -323,19 +323,29 @@ TEST_F(Hardening, SaturationDegradesToDenseBitIdentical) {
   EXPECT_GE(stats.accum_degrades, 1u);
 }
 
-TEST_F(Hardening, DegradationWorksUnder2dTiling) {
-  const auto a = test::random_matrix<double, I>(72, 72, 0.2, 71);
+TEST_F(Hardening, DegradationWorksOnBlockedSparseTiles) {
+  // A wide, thin mask keeps every 4096-column tile below
+  // kDenseTileDensity, so its cells run on the hash accumulator; a
+  // saturation there replays the cell on the workspace's dense one.
+  const auto mask = test::random_matrix<double, I>(64, 8192, 0.001, 71);
+  const auto a = test::random_matrix<double, I>(64, 64, 0.2, 72);
+  const auto b = test::random_matrix<double, I>(64, 8192, 0.02, 73);
   Config config;
   config.accumulator = AccumulatorKind::kHash;
   config.strategy = MaskStrategy::kMaskFirst;
-  config.num_col_tiles = 3;
+  config.mode = Strategy::kBlocked;
+  config.block_cols = 4096;
+  config.num_tiles = 4;
   config.threads = 2;
+  Executor<SR> exec;
+  exec.plan(mask, a, b, config);
+  ASSERT_GT(exec.info().sparse_tiles, 0);
   fault::arm(FaultSite::kHashSaturation);
   ExecutionStats stats;
-  Executor<SR> exec;
-  exec.plan(a, a, a, config);
-  const auto c = exec.execute(a, a, a, stats);
-  EXPECT_TRUE(test::csr_equal(test::reference_masked_spgemm<SR>(a, a, a), c));
+  const auto c = exec.execute(mask, a, b, stats);
+  EXPECT_EQ(fault::triggered(FaultSite::kHashSaturation), 1u);
+  EXPECT_TRUE(
+      test::csr_equal(test::reference_masked_spgemm<SR>(mask, a, b), c));
   EXPECT_TRUE(stats.degraded);
   EXPECT_GE(stats.accum_degrades, 1u);
 }

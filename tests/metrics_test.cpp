@@ -16,7 +16,6 @@
 
 #include "core/engine.hpp"
 #include "core/masked_spgemm.hpp"
-#include "core/masked_spgemm_2d.hpp"
 #include "support/trace.hpp"
 #include "test_util.hpp"
 
@@ -385,18 +384,29 @@ TEST_F(MetricsTest, DeltaIsolatesOneMeasuredRegion) {
   EXPECT_EQ(delta.total.flops, expected_mask_first_flops(a, a, a));
 }
 
-TEST_F(MetricsTest, TwoDimensionalDriverCountsCells) {
-  const auto a = test::random_matrix<double, I>(60, 60, 0.1, 31);
+TEST_F(MetricsTest, BlockedDriverCountsCells) {
+  // A wide, thin mask keeps every 4096-column tile sparse, so the cells
+  // run on the hash accumulator and its inserts are counted.
+  const auto mask = test::random_matrix<double, I>(64, 8192, 0.001, 31);
+  const auto a = test::random_matrix<double, I>(64, 64, 0.2, 32);
+  const auto b = test::random_matrix<double, I>(64, 8192, 0.02, 33);
   Config config;
   config.strategy = MaskStrategy::kMaskFirst;
-  config.num_col_tiles = 4;
+  config.mode = Strategy::kBlocked;
+  config.block_cols = 4096;
+  config.num_tiles = 4;
   ExecutionStats stats;
-  (void)masked_spgemm_2d<SR>(a, a, a, config, stats);
+  (void)masked_spgemm<SR>(mask, a, b, config, stats);
+  ASSERT_GT(stats.tiles, 0);
 
   const MetricsSnapshot snapshot = metrics_snapshot();
   EXPECT_EQ(snapshot.total.tiles_executed,
             static_cast<std::uint64_t>(stats.tiles));
+  EXPECT_EQ(snapshot.total.blocked_dense_picks +
+                snapshot.total.blocked_sparse_picks,
+            static_cast<std::uint64_t>(stats.tiles));
   EXPECT_GT(snapshot.total.flops, 0u);
+  EXPECT_GT(stats.accum_inserts, 0u);
   EXPECT_EQ(snapshot.total.accum_inserts, stats.accum_inserts);
 }
 
@@ -489,18 +499,19 @@ TEST_F(MetricsTest, ExecutionStatsCarryPerThreadWork) {
   EXPECT_GE(stats.imbalance_ratio, 1.0);
   EXPECT_GE(stats.busy_cv, 0.0);
 
-  // The same invariants through the 2D driver: every row is visited once
-  // per column tile.
-  Config config2d = config;
-  config2d.num_col_tiles = 3;
-  ExecutionStats stats2d;
-  (void)masked_spgemm_2d<SR>(a, a, a, config2d, stats2d);
-  std::int64_t rows2d = 0;
-  for (const ThreadWork& t : stats2d.thread_work) {
-    rows2d += t.rows;
+  // The same invariants through the blocked driver: every row is visited
+  // once per column block (120 columns in 40-column blocks).
+  Config blocked = config;
+  blocked.mode = Strategy::kBlocked;
+  blocked.block_cols = 40;
+  ExecutionStats blocked_stats;
+  (void)masked_spgemm<SR>(a, a, a, blocked, blocked_stats);
+  std::int64_t blocked_rows = 0;
+  for (const ThreadWork& t : blocked_stats.thread_work) {
+    blocked_rows += t.rows;
   }
-  EXPECT_EQ(rows2d, static_cast<std::int64_t>(a.rows()) * 3);
-  EXPECT_GE(stats2d.imbalance_ratio, 1.0);
+  EXPECT_EQ(blocked_rows, static_cast<std::int64_t>(a.rows()) * 3);
+  EXPECT_GE(blocked_stats.imbalance_ratio, 1.0);
 }
 
 TEST_F(MetricsTest, HwDeltaMachineryIsConsistent) {

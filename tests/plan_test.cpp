@@ -16,7 +16,6 @@
 #include "algos/ktruss.hpp"
 #include "algos/triangle_count.hpp"
 #include "core/masked_spgemm.hpp"
-#include "core/masked_spgemm_2d.hpp"
 #include "sparse/build.hpp"
 #include "sparse/ops.hpp"
 #include "support/rng.hpp"
@@ -274,7 +273,6 @@ TEST(PlanInfo, HybridPlansOneDecisionPerANonzero) {
   EXPECT_EQ(exec.info().hybrid_decisions, p.a.nnz());
   EXPECT_GT(exec.info().fingerprint, 0u);
   EXPECT_GE(exec.info().build_ms, 0.0);
-  EXPECT_EQ(exec.info().col_tiles, 1);
 
   config.strategy = MaskStrategy::kMaskFirst;
   exec.plan(p.mask, p.a, p.b, config);
@@ -292,47 +290,6 @@ TEST(PlanInfo, StatsReportPhasesAndPlanBuildTime) {
   EXPECT_GE(stats.analyze_ms, 0.0);  // per-execute: the staleness check
   EXPECT_GE(stats.compute_ms, 0.0);
   EXPECT_GE(stats.compact_ms, 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// 2D plans.
-// ---------------------------------------------------------------------------
-
-TEST(Plan2d, PlannedTwoDimensionalMatchesOracleAndRepeats) {
-  const Problem p = make_problem(37);
-  Config config;
-  config.strategy = MaskStrategy::kMaskFirst;
-  config.num_col_tiles = 3;
-  config.num_tiles = 4;
-
-  const auto expected = test::reference_masked_spgemm<SR>(p.mask, p.a, p.b);
-  Executor<SR> exec;
-  exec.plan(p.mask, p.a, p.b, config);
-  EXPECT_TRUE(exec.plan_data().two_dimensional());
-  EXPECT_EQ(exec.info().col_tiles, 3);
-  const auto first = exec.execute(p.mask, p.a, p.b);
-  EXPECT_TRUE(test::csr_equal(expected, first));
-  EXPECT_TRUE(test::csr_equal(first, exec.execute(p.mask, p.a, p.b)));
-}
-
-TEST(Plan2d, VanillaTwoDimensionalIsRejected) {
-  const Problem p = make_problem(41);
-  Config config;
-  config.strategy = MaskStrategy::kVanilla;
-  config.num_col_tiles = 2;
-  Executor<SR> exec;
-  EXPECT_THROW(exec.plan(p.mask, p.a, p.b, config), PreconditionError);
-}
-
-TEST(Plan2d, SingleColumnTileDegeneratesToOneDimensional) {
-  const Problem p = make_problem(43);
-  Config config;
-  config.num_col_tiles = 1;
-  Executor<SR> exec;
-  exec.plan(p.mask, p.a, p.b, config);
-  EXPECT_FALSE(exec.plan_data().two_dimensional());
-  EXPECT_TRUE(test::csr_equal(masked_spgemm<SR>(p.mask, p.a, p.b),
-                              exec.execute(p.mask, p.a, p.b)));
 }
 
 // ---------------------------------------------------------------------------
@@ -418,14 +375,52 @@ TEST(BlockedPlan, PlanInfoClassifiesTiles) {
   ASSERT_TRUE(plan.is_blocked());
   ASSERT_NE(plan.blocked, nullptr);
   const auto& info = exec.info();
-  EXPECT_EQ(info.dense_tiles + info.sparse_tiles,
-            static_cast<std::int64_t>(plan.row_tiles.size()) *
-                plan.blocked->num_blocks());
+  const std::int64_t cells = static_cast<std::int64_t>(plan.row_tiles.size()) *
+                             plan.blocked->num_blocks();
+  EXPECT_EQ(info.dense_tiles + info.sparse_tiles, cells);
   EXPECT_GT(info.dense_tiles + info.sparse_tiles, 0);
-  // col_tiles mirrors the block ranges for introspection.
-  EXPECT_EQ(static_cast<std::int64_t>(plan.col_tiles.size()),
-            plan.blocked->num_blocks());
   EXPECT_EQ(plan.cells_per_row_tile(), plan.blocked->num_blocks());
+  // One task per (row tile, column block) cell.
+  ExecutionStats stats;
+  (void)exec.execute(p.mask, p.a, p.b, stats);
+  EXPECT_EQ(stats.tiles, cells);
+}
+
+TEST(BlockedPlan, EmptyMaskGivesEmptyOutput) {
+  const Problem p = make_problem(79);
+  const Csr<double, I> empty_mask(p.a.rows(), p.b.cols());
+  Config config;
+  config.mode = Strategy::kBlocked;
+  config.block_cols = 9;
+  const auto c = masked_spgemm<SR>(empty_mask, p.a, p.b, config);
+  EXPECT_TRUE(c.check());
+  EXPECT_EQ(c.nnz(), 0);
+}
+
+TEST(BlockedPlan, ExplicitResetPolicyMatchesOracle) {
+  // A wide, thin mask (about 8 entries per 8192-column row): every
+  // 4096-column tile falls below kDenseTileDensity, so the sparse-tile
+  // accumulator — the one the reset policy governs — runs every cell.
+  const Problem p = {test::random_matrix<double, I>(64, 8192, 0.001, 83),
+                     test::random_matrix<double, I>(64, 64, 0.2, 84),
+                     test::random_matrix<double, I>(64, 8192, 0.02, 85)};
+  const auto expected = test::reference_masked_spgemm<SR>(p.mask, p.a, p.b);
+  ASSERT_GT(expected.nnz(), 0);
+  for (const AccumulatorKind acc :
+       {AccumulatorKind::kDense, AccumulatorKind::kHash}) {
+    Config config;
+    config.mode = Strategy::kBlocked;
+    config.block_cols = 4096;
+    config.num_tiles = 4;
+    config.accumulator = acc;
+    config.reset = ResetPolicy::kExplicit;
+    Executor<SR> exec;
+    exec.plan(p.mask, p.a, p.b, config);
+    EXPECT_GT(exec.info().sparse_tiles, 0);
+    EXPECT_EQ(exec.info().dense_tiles, 0);
+    EXPECT_TRUE(test::csr_equal(expected, exec.execute(p.mask, p.a, p.b)))
+        << config.describe();
+  }
 }
 
 TEST(BlockedPlan, HubRowsSplitIntoColumnBlockTasks) {
@@ -503,7 +498,6 @@ void expect_same_slices(const std::vector<BlockSlice<I>>& x,
 
 void expect_same_plan(const Plan<I>& x, const Plan<I>& y) {
   EXPECT_EQ(x.row_tiles, y.row_tiles);
-  EXPECT_EQ(x.col_tiles, y.col_tiles);
   EXPECT_EQ(x.flop_total, y.flop_total);
   EXPECT_EQ(x.accumulator_bound, y.accumulator_bound);
   EXPECT_EQ(x.info.fingerprint, y.info.fingerprint);
@@ -606,21 +600,17 @@ TEST(PlanCacheTest, TriangleCountSharedCacheMatchesUncached) {
 }
 
 // ---------------------------------------------------------------------------
-// Unified Config: one struct selects 1D / 2D / blocked execution.
+// Unified Config: one struct selects 1D or blocked execution.
 // ---------------------------------------------------------------------------
 
 TEST(ConfigUnification, StrategySelectionAndDescribe) {
   Config config;
   config.strategy = MaskStrategy::kCoIterate;
-  EXPECT_EQ(config.effective_strategy(), Strategy::k1D);
-
-  config.num_col_tiles = 4;
-  EXPECT_EQ(config.effective_strategy(), Strategy::k2D);
-  EXPECT_NE(config.describe().find("col-tiles=4"), std::string::npos);
+  EXPECT_EQ(config.mode, Strategy::k1D);
+  EXPECT_EQ(config.describe().find("mode="), std::string::npos);
 
   config.mode = Strategy::kBlocked;
   config.block_cols = 512;
-  EXPECT_EQ(config.effective_strategy(), Strategy::kBlocked);
   EXPECT_NE(config.describe().find("mode=blocked"), std::string::npos);
   EXPECT_NE(config.describe().find("block-cols=512"), std::string::npos);
 
