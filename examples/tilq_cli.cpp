@@ -63,7 +63,8 @@ void print_usage() {
       "  --marker 8|16|32|64            (default 32)\n"
       "  --reset marker|explicit        (default marker)\n"
       "  --mode 1d|blocked              execution space (default 1d)\n"
-      "  --block-cols N   blocked mode: columns per cache block (default 4096)\n"
+      "  --block-cols N   blocked mode: columns per cache block\n"
+      "                   (default 0: one block up to 2^19 columns)\n"
       "  --threads N\n"
       "modes:\n"
       "  --predict        use the model-based config predictor\n"

@@ -138,7 +138,7 @@ inline void add_accumulator_counters(MetricCounters& slot,
 /// Thrown (CapacityError subtype) when the hash accumulator's probe chains
 /// breach its limit and growing the table past its bound would not help —
 /// or when the hash-sat fault site (support/fault.hpp) forces that path.
-/// The drivers catch this and degrade the offending row/cell to the dense
+/// The 1D driver catches this and degrades the offending row to the dense
 /// accumulator when Config::degrade_on_saturation is set (the default).
 class AccumulatorSaturatedError : public CapacityError {
  public:

@@ -7,7 +7,9 @@
 //
 // A slot is rebuilt only when its recorded capability (columns for
 // dense/bitmap, row bound for hash) no longer covers the request — shrinking
-// inputs (e.g. k-truss peeling) keep reusing the larger workspace. The
+// inputs (e.g. k-truss peeling) keep reusing the larger workspace. A
+// workspace sized along two dimensions packs them into one key and
+// supplies a static covers(have, want) (see capability_covers). The
 // per-slot counters make reuse observable: tests and the iterated-workload
 // bench assert `constructions` stays flat after warm-up.
 //
@@ -38,6 +40,19 @@ struct WorkspacePoolStats {
   std::uint64_t retunes = 0;        ///< rebuilds forced by a capability bump
 };
 
+/// Whether a resident workspace built for capability `have` serves a
+/// request for `want`: Acc::covers when the type defines one, else `have`
+/// is at least `want`.
+template <class Acc>
+[[nodiscard]] bool capability_covers(std::uint64_t have,
+                                     std::uint64_t want) noexcept {
+  if constexpr (requires { Acc::covers(have, want); }) {
+    return Acc::covers(have, want);
+  } else {
+    return have >= want;
+  }
+}
+
 template <class Acc>
 class WorkspacePool {
  public:
@@ -57,8 +72,8 @@ class WorkspacePool {
   }
 
   /// Returns thread `thread`'s accumulator, constructing it via `make()`
-  /// only when the slot is empty or `capability` exceeds what the resident
-  /// instance was built for. Call only from the owning thread, after a
+  /// only when the slot is empty or the resident instance's capability
+  /// does not cover `capability`. Call only from the owning thread, after a
   /// reserve() that covers `thread`. Throws CapacityError when the
   /// pool-alloc fault site fires (or make() itself fails to allocate); the
   /// slot is left empty, not half-built, so the pool stays reusable.
@@ -69,7 +84,8 @@ class WorkspacePool {
                std::uint64_t bytes_estimate = 0) {
     Slot& slot = slots_[static_cast<std::size_t>(thread)];
     slot.acquisitions.fetch_add(1, std::memory_order_relaxed);
-    if (!slot.acc.has_value() || slot.capability < capability) {
+    if (!slot.acc.has_value() ||
+        !capability_covers<Acc>(slot.capability, capability)) {
       if (fault::should_fire(FaultSite::kPoolAllocation)) {
         throw CapacityError(
             "workspace allocation failed (injected fault: pool-alloc)");

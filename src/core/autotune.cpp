@@ -87,15 +87,14 @@ std::vector<Config> candidate_arm_configs(const Config& submitted,
     push_unique(arms, std::move(arm));
   }
 
-  // Execution-space sweep: the cache-blocked space with the dense and
-  // hash per-tile accumulators. The vanilla kernel has no
-  // column-restricted formulation, so those arms fall back to mask-first.
-  for (const AccumulatorKind kind :
-       {AccumulatorKind::kDense, AccumulatorKind::kHash}) {
+  // Execution-space sweep: the cache-blocked space at auto width. Its
+  // cells run one kernel whatever the accumulator, so one arm covers it.
+  // The vanilla kernel has no column-restricted formulation, so that arm
+  // falls back to mask-first.
+  {
     Config arm = submitted;
     arm.mode = Strategy::kBlocked;
     arm.block_cols = 0;  // auto width
-    arm.accumulator = kind;
     if (arm.strategy == MaskStrategy::kVanilla) {
       arm.strategy = MaskStrategy::kMaskFirst;
     }

@@ -21,7 +21,7 @@ namespace tilq {
 /// config-type-and-entry-point pair.
 enum class Strategy {
   k1D,       ///< row tiles over the full column range (the reference path)
-  kBlocked,  ///< cache-blocked column slices with per-tile accumulators
+  kBlocked,  ///< column blocks whose cells run the mask-indexed window
 };
 
 [[nodiscard]] constexpr const char* to_string(Strategy strategy) noexcept {
@@ -46,8 +46,10 @@ struct Config {
   // strategy is rejected for blocked plans (its unmasked merge phase has
   // no column-restricted formulation that preserves its semantics).
   Strategy mode = Strategy::k1D;
-  /// Column-block width for Strategy::kBlocked; 0 picks the auto width
-  /// (kDefaultBlockCols, clamped to kMaxColumnBlocks blocks).
+  /// Column-block width for Strategy::kBlocked; 0 picks the auto width:
+  /// one block that reads the operands in place, cut into blocks of
+  /// kMaxWindowCols only on wider matrices. Explicit widths are clamped
+  /// to kMaxColumnBlocks blocks.
   std::int64_t block_cols = 0;
 
   // Dimension 2: iteration space (§III-B, Fig 14).
@@ -71,9 +73,10 @@ struct Config {
   /// Defaults on in hardened (Debug / sanitizer) builds.
   bool validate_inputs = TILQ_HARDENED != 0;
   /// When the hash accumulator saturates beyond its growth bound, fall back
-  /// to a dense accumulator for the offending row/cell (bit-identical
-  /// results, `accum_degrades` counts it). When false the saturation
-  /// escalates as CapacityError instead.
+  /// to a dense accumulator for the offending row (bit-identical results,
+  /// `accum_degrades` counts it). When false the saturation escalates as
+  /// CapacityError instead. Blocked plans never saturate: their cells run
+  /// the direct window.
   bool degrade_on_saturation = true;
 
   [[nodiscard]] bool operator==(const Config&) const = default;
@@ -142,8 +145,8 @@ struct ExecutionStats {
   std::uint64_t marker_row_resets = 0;   ///< marker-policy epoch bumps
   std::uint64_t explicit_reset_slots = 0;  ///< slots cleared by explicit resets
   std::uint64_t accum_rehashes = 0;  ///< hash grow-and-rehash events
-  std::uint64_t accum_degrades = 0;  ///< rows/cells escalated to dense
-  /// True when any row/cell of this execute ran on the dense fallback after
+  std::uint64_t accum_degrades = 0;  ///< rows escalated to dense
+  /// True when any row of this execute ran on the dense fallback after
   /// hash saturation (accum_degrades > 0).
   bool degraded = false;
 

@@ -220,7 +220,7 @@ struct JobStats {
   bool plan_cache_hit = false;   ///< structure+config found in the plan cache
   std::int64_t tasks = 0;        ///< tile tasks the job was split into
   std::int64_t output_nnz = 0;   ///< nonzeros in the result (0 on failure)
-  std::uint64_t degrades = 0;    ///< rows/cells replayed on the dense fallback
+  std::uint64_t degrades = 0;    ///< rows replayed on the dense fallback
   std::size_t queue_depth = 0;   ///< other jobs in flight at admission
   bool expensive = false;        ///< cost-model verdict at admission
   bool deferred = false;         ///< demoted to background under kDefer
@@ -1001,7 +1001,7 @@ class Engine {
     job.buffers->ensure(
         static_cast<std::size_t>(job.mask->nnz()),
         static_cast<std::size_t>(plan.rows),
-        plan.is_blocked()
+        plan.cells_per_row_tile() > 1
             ? static_cast<std::size_t>(plan.rows) * plan.cells_per_row_tile()
             : 0);
     const std::uint64_t after = buffer_bytes(*job.buffers);
@@ -1139,8 +1139,22 @@ class Engine {
   }
 
   /// Resolves the (marker width x accumulator kind) dispatch for a new
-  /// plan entry — the engine-side analogue of Executor::bind_dispatch.
+  /// plan entry — the engine-side analogue of Executor::bind_dispatch,
+  /// which a blocked plan skips for the direct window.
   void bind_entry(PlanEntry& entry) {
+    if (entry.plan.is_blocked()) {
+      using Window = DirectWindow<SR, I>;
+      bind_entry_runner<Window>(
+          entry,
+          [](const Plan<I>& p, const Config&) {
+            return Window(p.blocked->block_width, p.accumulator_bound);
+          },
+          [](const Plan<I>& p) {
+            return Window::capability(p.blocked->block_width,
+                                      p.accumulator_bound);
+          });
+      return;
+    }
     switch (entry.config.marker_width) {
       case MarkerWidth::k8:
         bind_entry_marker<std::uint8_t>(entry);
@@ -1160,23 +1174,6 @@ class Engine {
 
   template <class Marker>
   void bind_entry_marker(PlanEntry& entry) {
-    if (entry.plan.is_blocked()) {
-      // Blocked plans run on a BlockedWorkspace (block-width dense + the
-      // configured sparse-tile accumulator) — same dispatch as
-      // Executor::bind_blocked_runner.
-      switch (entry.config.accumulator) {
-        case AccumulatorKind::kDense:
-          bind_blocked_entry<Marker, DenseAccumulator<SR, I, Marker>>(entry);
-          return;
-        case AccumulatorKind::kBitmap:
-          bind_blocked_entry<Marker, BitmapAccumulator<SR, I>>(entry);
-          return;
-        case AccumulatorKind::kHash:
-          bind_blocked_entry<Marker, HashAccumulator<SR, I, Marker>>(entry);
-          return;
-      }
-      require(false, "Engine: invalid accumulator kind");
-    }
     switch (entry.config.accumulator) {
       case AccumulatorKind::kDense:
         bind_entry_runner<DenseAccumulator<SR, I, Marker>>(
@@ -1213,19 +1210,6 @@ class Engine {
     require(false, "Engine: invalid accumulator kind");
   }
 
-  template <class Marker, class SparseAcc>
-  void bind_blocked_entry(PlanEntry& entry) {
-    using Ws = BlockedWorkspace<SR, I, Marker, SparseAcc>;
-    bind_entry_runner<Ws>(
-        entry,
-        [](const Plan<I>& p, const Config& c) {
-          return Ws(p.blocked->block_width, p.accumulator_bound, c.reset);
-        },
-        [](const Plan<I>& p) {
-          return Ws::capability(p.blocked->block_width, p.accumulator_bound);
-        });
-  }
-
   template <class Acc, class Factory, class Capability>
   void bind_entry_runner(PlanEntry& entry, Factory factory,
                          Capability capability) {
@@ -1251,11 +1235,9 @@ class Engine {
               "engine-pool-reserve)");
         }
         const std::uint64_t cap = capability(e.plan);
-        // The governor charge is an estimate: capability units x element
-        // footprint. Good enough for a brownout trip point.
         Acc& acc = pool->acquire(worker, cap,
                                  [&] { return factory(e.plan, e.config); },
-                                 cap * (sizeof(T) + sizeof(I)));
+                                 workspace_bytes<Acc>(e.plan, cap));
 #if TILQ_METRICS_ENABLED
         const AccumulatorCounters counters_at_entry = acc.counters();
 #endif
@@ -1287,6 +1269,20 @@ class Engine {
 #endif
       });
     };
+  }
+
+  /// Governor charge for one pooled workspace built for `plan`: the direct
+  /// window's real footprint, computed from its shape (its capability is a
+  /// packed key, not a size); otherwise an estimate, capability units x
+  /// element footprint, good enough for a brownout trip point.
+  template <class Acc>
+  [[nodiscard]] static std::uint64_t workspace_bytes(const Plan<I>& plan,
+                                                     std::uint64_t cap) {
+    if constexpr (std::is_same_v<Acc, DirectWindow<SR, I>>) {
+      return Acc::bytes(plan.blocked->block_width, plan.accumulator_bound);
+    } else {
+      return cap * (sizeof(T) + sizeof(I));
+    }
   }
 
   /// One engine-wide WorkspacePool per concrete accumulator type, sized to

@@ -36,6 +36,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <typeinfo>
 #include <utility>
 #include <variant>
@@ -82,8 +83,12 @@ struct PlanInfo {
   /// 1D hybrid plan, 0 otherwise.
   std::int64_t hybrid_decisions = 0;
   std::int64_t flop_total = 0;        ///< Eq-2 work total Σ_i W[i]
-  std::int64_t dense_tiles = 0;       ///< blocked: tiles classified dense
-  std::int64_t sparse_tiles = 0;      ///< blocked: tiles classified sparse
+  /// Blocked: the plan's cells (row tiles x column blocks), all of which
+  /// run the direct window; `sparse_tiles` is always 0. Both stay only
+  /// because the repository benchmark reads them; dropping them belongs
+  /// to a change whose scope covers benchmark/.
+  std::int64_t dense_tiles = 0;
+  std::int64_t sparse_tiles = 0;
   std::int64_t hub_splits = 0;        ///< blocked: hub rows split out
   double build_ms = 0.0;              ///< wall time of the plan() call
 };
@@ -132,7 +137,7 @@ struct DriverBuffers {
   std::vector<I> bound_cols;
   std::vector<T> bound_vals;
   std::vector<I> row_counts;
-  std::vector<I> cell_counts;  ///< blocked only: rows x blocks, row-major
+  std::vector<I> cell_counts;  ///< multi-block plans: rows x blocks, row-major
   std::uint64_t grows = 0;     ///< how many ensure() calls had to grow
 
   void ensure(std::size_t mask_nnz, std::size_t rows, std::size_t cells) {
@@ -167,10 +172,10 @@ struct Plan {
   /// cache hit prices a repeat structure for free.
   std::int64_t flop_total = 0;
   I accumulator_bound = 0;
-  /// Blocked-strategy artifacts (column-block slices, per-tile dense
-  /// verdicts); null unless the plan was built with Strategy::kBlocked.
-  /// Shared so plan copies (the engine's cache hands plans around) do not
-  /// duplicate the slices.
+  /// Blocked-strategy artifacts (column blocks, and their slices when
+  /// there is more than one); null unless the plan was built with
+  /// Strategy::kBlocked. Shared so plan copies (the engine's cache hands
+  /// plans around) do not duplicate the slices.
   std::shared_ptr<const BlockedLayout<I>> blocked;
 
   [[nodiscard]] bool is_blocked() const noexcept { return blocked != nullptr; }
@@ -282,18 +287,19 @@ template <class T, class I>
       plan.flop_total = plan.mask_nnz + total_flops(a, b, parallel);
       plan.row_tiles = make_uniform_tiles(plan.rows, num_tiles);
     }
-    plan.accumulator_bound =
-        detail::accumulator_row_bound(mask, a, b, config.strategy);
     if (blocked) {
-      auto layout = std::make_shared<BlockedLayout<I>>(build_blocked_layout(
-          mask, b, std::span<const Tile>(plan.row_tiles), config.block_cols,
-          parallel));
-      // The sparse per-tile accumulator only ever sees one mask (row, block)
-      // segment, so its bound is the largest segment, not the full row.
+      auto layout = std::make_shared<BlockedLayout<I>>(
+          build_blocked_layout(mask, b, config.block_cols, parallel));
+      // The window only ever holds one mask (row, block) segment, so its
+      // slot bound is the largest segment, not the full row.
       plan.accumulator_bound = std::max<I>(I{1}, layout->max_seg_entries);
-      plan.info.dense_tiles = layout->dense_tiles;
-      plan.info.sparse_tiles = layout->sparse_tiles;
+      plan.info.dense_tiles =
+          static_cast<std::int64_t>(plan.row_tiles.size()) *
+          layout->num_blocks();
       plan.blocked = std::move(layout);
+    } else {
+      plan.accumulator_bound =
+          detail::accumulator_row_bound(mask, a, b, config.strategy);
     }
   }
 
@@ -342,7 +348,7 @@ inline void finalize_thread_work(std::vector<ThreadWork>&& work,
 }
 
 /// Degradation target when an accumulator saturates: the hash accumulator
-/// escalates the offending row/cell to a dense accumulator with the same
+/// escalates the offending row to a dense accumulator with the same
 /// marker type (identical accumulate-and-gather order => bit-identical
 /// results). Dense and bitmap accumulators cannot saturate.
 template <class Acc>
@@ -360,69 +366,42 @@ struct FallbackAccumulator<HashAccumulator<SR, I, Marker>> {
 /// Accounting one tile task reports back to its driver.
 struct TileTaskStats {
   std::int64_t rows = 0;       ///< row visits performed by this task
-  std::uint64_t degrades = 0;  ///< rows/cells replayed on the dense fallback
+  std::uint64_t degrades = 0;  ///< rows replayed on the dense fallback
 };
 
-/// One (row tile x column block) task of the blocked driver. The per-tile
-/// dense/sparse verdict picks the accumulator out of the workspace; a
-/// sparse-side saturation replays the cell on the workspace's own dense
-/// accumulator (same block width => same gather order => bit-identical),
-/// so no external fallback is needed. Output slots come straight from the
-/// mask slice's entry_begin — the slice IS the slot map, no binary search.
-template <Semiring SR, class T, class I, class Ws>
+/// One (row tile x column block) task of the blocked driver: every cell
+/// runs the direct window, reading the live mask and B through per-task
+/// views (block_view). Output slots come straight from the mask view's
+/// entry_begin — the view IS the slot map, no binary search. With one
+/// block a cell is a row, so the counts land in row_counts and compact
+/// needs no stitching.
+template <Semiring SR, class T, class I>
 TileTaskStats run_blocked_tile_task(const Plan<I>& plan, const Config& config,
-                                    const Csr<T, I>& a, const Csr<T, I>& b,
-                                    std::int64_t task, Ws& ws,
+                                    const Csr<T, I>& mask, const Csr<T, I>& a,
+                                    const Csr<T, I>& b, std::int64_t task,
+                                    DirectWindow<SR, I>& win,
                                     DriverBuffers<T, I>& buffers) {
   const BlockedLayout<I>& layout = *plan.blocked;
   const auto blocks = static_cast<std::size_t>(layout.num_blocks());
   const std::size_t rt = static_cast<std::size_t>(task) / blocks;
   const std::size_t t = static_cast<std::size_t>(task) % blocks;
   const Tile row_tile = plan.row_tiles[rt];
-  const BlockSlice<I>& mslice = layout.m_blocks[t];
-  const BlockSlice<I>& bslice = layout.b_blocks[t];
+  const BlockView<I> mview = block_view(layout.m_blocks, mask, t);
+  const BlockView<I> bview = block_view(layout.b_blocks, b, t);
   const I col_base = layout.block_begin[t];
-  const bool dense_tile = layout.dense_tile(rt, t);
+  I* const counts = blocks == 1 ? buffers.row_counts.data()
+                                : buffers.cell_counts.data();
   TraceSpan tile_span("tileblk", task);
   TileTaskStats out;
   out.rows += row_tile.row_end - row_tile.row_begin;
-#if TILQ_METRICS_ENABLED
-  if (MetricCounters* const counters = metrics_thread_counters()) {
-    if (dense_tile) {
-      ++counters->blocked_dense_picks;
-    } else {
-      ++counters->blocked_sparse_picks;
-    }
-  }
-#endif
   for (I i = static_cast<I>(row_tile.row_begin);
        i < static_cast<I>(row_tile.row_end); ++i) {
     const auto slot = static_cast<std::size_t>(
-        mslice.entry_begin[static_cast<std::size_t>(i)]);
-    I* const out_cols = buffers.bound_cols.data() + slot;
-    T* const out_vals = buffers.bound_vals.data() + slot;
-    I count = 0;
-    if (dense_tile) {
-      count = compute_block_cell_direct<SR>(
-          mslice, bslice, a, b, i, col_base, config.strategy,
-          config.coiteration_factor, ws.direct(), out_cols, out_vals);
-    } else {
-      try {
-        count = compute_block_cell<SR>(
-            mslice, bslice, a, b, i, col_base, config.strategy,
-            config.coiteration_factor, ws.sparse(), out_cols, out_vals);
-      } catch (const AccumulatorSaturatedError&) {
-        if (!config.degrade_on_saturation) {
-          throw;
-        }
-        ws.abort_sparse_row();
-        count = compute_block_cell<SR>(
-            mslice, bslice, a, b, i, col_base, config.strategy,
-            config.coiteration_factor, ws.dense(), out_cols, out_vals);
-        ++out.degrades;
-      }
-    }
-    buffers.cell_counts[static_cast<std::size_t>(i) * blocks + t] = count;
+        mview.entry_begin[static_cast<std::size_t>(i)]);
+    counts[static_cast<std::size_t>(i) * blocks + t] = compute_block_cell<SR>(
+        mview, bview, a, b, i, col_base, config.strategy,
+        config.coiteration_factor, win, buffers.bound_cols.data() + slot,
+        buffers.bound_vals.data() + slot);
   }
   return out;
 }
@@ -434,8 +413,7 @@ TileTaskStats run_blocked_tile_task(const Plan<I>& plan, const Config& config,
 /// call exactly this function, so the two paths stay bit-identical by
 /// construction. `fallback` is the caller's lazily-built dense escalation
 /// target, kept across tasks so a degrading worker builds it only once
-/// (unused by the blocked path, whose workspace carries its own dense
-/// accumulator).
+/// (unused by the blocked path, whose window cannot saturate).
 template <Semiring SR, class T, class I, class Acc>
 TileTaskStats run_scalar_tile_task(
     const Plan<I>& plan, const Config& config, const Csr<T, I>& mask,
@@ -491,20 +469,20 @@ TileTaskStats run_scalar_tile_task(
   return out;
 }
 
-/// Compile-time dispatch over the workspace type: a BlockedWorkspace runs
-/// the blocked driver, a plain accumulator the 1D one. Instantiating only
-/// the matching branch is what lets one worksharing loop (and the engine's
-/// one pool-worker body) serve both execution spaces.
+/// Compile-time dispatch over the workspace type: a DirectWindow runs the
+/// blocked driver, an accumulator the 1D one. Instantiating only the
+/// matching branch is what lets one worksharing loop (and the engine's one
+/// pool-worker body) serve both execution spaces.
 template <Semiring SR, class T, class I, class Acc>
 TileTaskStats run_tile_task(
     const Plan<I>& plan, const Config& config, const Csr<T, I>& mask,
     const Csr<T, I>& a, const Csr<T, I>& b, std::int64_t task, Acc& acc,
     std::optional<typename FallbackAccumulator<Acc>::type>& fallback,
     DriverBuffers<T, I>& buffers) {
-  if constexpr (is_blocked_workspace_v<Acc>) {
-    (void)mask;
+  if constexpr (std::is_same_v<Acc, DirectWindow<SR, I>>) {
     (void)fallback;
-    return run_blocked_tile_task<SR>(plan, config, a, b, task, acc, buffers);
+    return run_blocked_tile_task<SR>(plan, config, mask, a, b, task, acc,
+                                     buffers);
   } else {
     return run_scalar_tile_task<SR>(plan, config, mask, a, b, task, acc,
                                     fallback, buffers);
@@ -521,7 +499,7 @@ Csr<T, I> compact_planned(const Plan<I>& plan, const Csr<T, I>& mask,
   const I rows = plan.rows;
   const auto mask_row_ptr = mask.row_ptr();
   const std::size_t cells = plan.cells_per_row_tile();
-  if (plan.is_blocked()) {
+  if (cells > 1) {
     parallel_for(I{0}, rows, parallel, [&](I i) {
       I total = 0;
       for (std::size_t ct = 0; ct < cells; ++ct) {
@@ -536,7 +514,7 @@ Csr<T, I> compact_planned(const Plan<I>& plan, const Csr<T, I>& mask,
                : exclusive_scan_serial<I>(buffers.row_counts, out_row_ptr);
   std::vector<I> out_cols(static_cast<std::size_t>(out_nnz));
   std::vector<T> out_vals(static_cast<std::size_t>(out_nnz));
-  if (plan.is_blocked()) {
+  if (cells > 1) {
     // Stitch the per-block segments in block order; the mask slice's
     // entry_begin is the slot map, so no per-cell search is needed.
     const BlockedLayout<I>& layout = *plan.blocked;
@@ -596,7 +574,7 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
   const std::size_t cells = plan.cells_per_row_tile();
   buffers.ensure(static_cast<std::size_t>(mask.nnz()),
                  static_cast<std::size_t>(rows),
-                 blocked ? static_cast<std::size_t>(rows) * cells : 0);
+                 cells > 1 ? static_cast<std::size_t>(rows) * cells : 0);
   pool.reserve(threads);
 
   set_runtime_schedule(config.schedule);
@@ -636,7 +614,7 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
         acc = &pool.acquire(thread_num, capability, make);
         counters_at_entry = acc->counters();
       });
-      // Saturated rows/cells re-run on a dense fallback with the same
+      // Saturated rows re-run on a dense fallback with the same
       // marker type, built lazily on first degrade (most executes never
       // touch it).
       std::optional<typename Fallback::type> fallback;
@@ -830,8 +808,21 @@ class Executor {
 
   /// Resolves the (marker width x accumulator kind) dispatch once, binding
   /// a runner that carries the workspace pool. The pool survives replans
-  /// that keep the same accumulator type.
+  /// that keep the same accumulator type. A blocked plan binds the direct
+  /// window whatever the accumulator, marker and reset settings say.
   void bind_dispatch() {
+    if (plan_.is_blocked()) {
+      using Window = DirectWindow<SR, I>;
+      bind_runner<Window>(
+          [](const Plan<I>& p, const Config&) {
+            return Window(p.blocked->block_width, p.accumulator_bound);
+          },
+          [](const Plan<I>& p) {
+            return Window::capability(p.blocked->block_width,
+                                      p.accumulator_bound);
+          });
+      return;
+    }
     switch (config_.marker_width) {
       case MarkerWidth::k8:
         bind_accumulator<std::uint8_t>();
@@ -851,23 +842,6 @@ class Executor {
 
   template <class Marker>
   void bind_accumulator() {
-    if (plan_.is_blocked()) {
-      // Blocked driver: the workspace pairs a block-width dense accumulator
-      // with the configured sparse-tile accumulator; Config::accumulator
-      // picks the latter.
-      switch (config_.accumulator) {
-        case AccumulatorKind::kDense:
-          bind_blocked_runner<Marker, DenseAccumulator<SR, I, Marker>>();
-          return;
-        case AccumulatorKind::kBitmap:
-          bind_blocked_runner<Marker, BitmapAccumulator<SR, I>>();
-          return;
-        case AccumulatorKind::kHash:
-          bind_blocked_runner<Marker, HashAccumulator<SR, I, Marker>>();
-          return;
-      }
-      require(false, "Executor::plan: invalid accumulator kind");
-    }
     switch (config_.accumulator) {
       case AccumulatorKind::kDense:
         bind_runner<DenseAccumulator<SR, I, Marker>>(
@@ -901,21 +875,6 @@ class Executor {
         return;
     }
     require(false, "Executor::plan: invalid accumulator kind");
-  }
-
-  /// Binds the blocked driver's per-thread workspace: block-width dense +
-  /// `SparseAcc` for sparse tiles, pooled under the lexicographic
-  /// (block width, sparse bound) capability.
-  template <class Marker, class SparseAcc>
-  void bind_blocked_runner() {
-    using Ws = BlockedWorkspace<SR, I, Marker, SparseAcc>;
-    bind_runner<Ws>(
-        [](const Plan<I>& p, const Config& c) {
-          return Ws(p.blocked->block_width, p.accumulator_bound, c.reset);
-        },
-        [](const Plan<I>& p) {
-          return Ws::capability(p.blocked->block_width, p.accumulator_bound);
-        });
   }
 
   /// `factory(plan, config)` builds one accumulator; `capability(plan)` is

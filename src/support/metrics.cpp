@@ -96,8 +96,6 @@ void append_counters_json(std::string& out, const MetricCounters& c) {
   field("binary_search_steps", c.binary_search_steps);
   field("hybrid_coiter_picks", c.hybrid_coiter_picks);
   field("hybrid_linear_picks", c.hybrid_linear_picks);
-  field("blocked_dense_picks", c.blocked_dense_picks);
-  field("blocked_sparse_picks", c.blocked_sparse_picks);
   field("tiles_created", c.tiles_created);
   field("tiles_executed", c.tiles_executed);
   field("rows_processed", c.rows_processed);

@@ -57,7 +57,9 @@ namespace tilq {
 /// `engine_brownouts` — docs/ROBUSTNESS.md), then with the online-tuning
 /// counters (`autotune_explorations`, `autotune_arm_switches`,
 /// `autotune_converged` — docs/TUNING.md).
-inline constexpr int kMetricsSchemaVersion = 3;
+/// v4: removed the two blocked dense/sparse pick counters; every blocked
+/// cell runs one kernel, and `tiles_executed` counts the cells.
+inline constexpr int kMetricsSchemaVersion = 4;
 
 /// True when the counter hooks are compiled into this build (CMake option
 /// TILQ_METRICS). When false every function below is an inline no-op.
@@ -76,12 +78,10 @@ struct MetricCounters {
   std::uint64_t marker_overflow_resets = 0; ///< whole-state clears on marker overflow
   std::uint64_t explicit_reset_slots = 0;   ///< slots cleared by explicit (GrB) resets
   std::uint64_t accum_rehashes = 0;         ///< hash grow-and-rehash saturation responses
-  std::uint64_t accum_degrades = 0;         ///< rows/cells escalated to the dense fallback
+  std::uint64_t accum_degrades = 0;         ///< rows escalated to the dense fallback
   std::uint64_t binary_search_steps = 0;    ///< halving steps in co-iteration searches
   std::uint64_t hybrid_coiter_picks = 0;    ///< (i,k) pairs where hybrid chose co-iteration
   std::uint64_t hybrid_linear_picks = 0;    ///< (i,k) pairs where hybrid chose linear scan
-  std::uint64_t blocked_dense_picks = 0;    ///< blocked tile tasks run on the dense accumulator
-  std::uint64_t blocked_sparse_picks = 0;   ///< blocked tile tasks run on the sparse accumulator
   std::uint64_t tiles_created = 0;          ///< tiles produced by the tilers
   std::uint64_t tiles_executed = 0;         ///< tiles processed in compute phases
   std::uint64_t rows_processed = 0;         ///< output rows computed
@@ -118,8 +118,6 @@ struct MetricCounters {
     binary_search_steps += o.binary_search_steps;
     hybrid_coiter_picks += o.hybrid_coiter_picks;
     hybrid_linear_picks += o.hybrid_linear_picks;
-    blocked_dense_picks += o.blocked_dense_picks;
-    blocked_sparse_picks += o.blocked_sparse_picks;
     tiles_created += o.tiles_created;
     tiles_executed += o.tiles_executed;
     rows_processed += o.rows_processed;
@@ -165,8 +163,6 @@ struct MetricCounters {
     d.binary_search_steps = sub(binary_search_steps, o.binary_search_steps);
     d.hybrid_coiter_picks = sub(hybrid_coiter_picks, o.hybrid_coiter_picks);
     d.hybrid_linear_picks = sub(hybrid_linear_picks, o.hybrid_linear_picks);
-    d.blocked_dense_picks = sub(blocked_dense_picks, o.blocked_dense_picks);
-    d.blocked_sparse_picks = sub(blocked_sparse_picks, o.blocked_sparse_picks);
     d.tiles_created = sub(tiles_created, o.tiles_created);
     d.tiles_executed = sub(tiles_executed, o.tiles_executed);
     d.rows_processed = sub(rows_processed, o.rows_processed);
@@ -197,8 +193,7 @@ struct MetricCounters {
            marker_overflow_resets == 0 && explicit_reset_slots == 0 &&
            accum_rehashes == 0 && accum_degrades == 0 &&
            binary_search_steps == 0 && hybrid_coiter_picks == 0 &&
-           hybrid_linear_picks == 0 && blocked_dense_picks == 0 &&
-           blocked_sparse_picks == 0 && tiles_created == 0 &&
+           hybrid_linear_picks == 0 && tiles_created == 0 &&
            tiles_executed == 0 && rows_processed == 0 && busy_ns == 0 &&
            engine_jobs == 0 && engine_job_ns == 0 && engine_queue_ns == 0 &&
            engine_queue_depth == 0 && engine_tasks == 0 &&

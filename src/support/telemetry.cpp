@@ -295,12 +295,6 @@ void render_prometheus(std::string& out) {
   prom_value_u64(out, "tilq_hybrid_linear_picks", "counter",
                  "pairs where hybrid chose linear scan",
                  c.hybrid_linear_picks);
-  prom_value_u64(out, "tilq_blocked_dense_picks", "counter",
-                 "blocked tile tasks run on the dense accumulator",
-                 c.blocked_dense_picks);
-  prom_value_u64(out, "tilq_blocked_sparse_picks", "counter",
-                 "blocked tile tasks run on the sparse accumulator",
-                 c.blocked_sparse_picks);
   prom_value_u64(out, "tilq_tiles_created", "counter",
                  "tiles produced by the tilers", c.tiles_created);
   prom_value_u64(out, "tilq_tiles_executed", "counter",

@@ -1,5 +1,6 @@
 // Batch engine tests: bit-identity with the single-call path across
-// configs (including the blocked space and degradation), exact plan-cache
+// configs (including the blocked space, whose cached one-block plans must
+// outlive their operands, and degradation), exact plan-cache
 // accounting under serial and concurrent submission, the once-latch that
 // builds a cold (structure, config) key once, backpressure
 // (EngineSaturatedError + jobs_rejected), per-job failure isolation under
@@ -17,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -172,6 +174,33 @@ TEST_F(EngineTest, BlockedValueOnlyUpdatesHitTheCacheAndStayCorrect) {
   EXPECT_TRUE(test::csr_equal(
       test::reference_masked_spgemm<SR>(p.mask, a2, b2), second.get()));
   EXPECT_TRUE(second.stats().plan_cache_hit);
+  EXPECT_EQ(engine.stats().plan_builds, 1u);
+}
+
+TEST_F(EngineTest, BlockedOneBlockPlanOutlivesItsOperands) {
+  // The auto width plans one block that reads the operands in place. The
+  // cached plan must hold no view of the operands it was built from: X is
+  // freed before a structurally identical Y with new values hits the plan.
+  // Y is allocated while X is alive, so it cannot reuse X's storage.
+  const Problem base = make_problem(29);
+  Config config;
+  config.mode = Strategy::kBlocked;
+  config.block_cols = 0;
+  Engine<SR> engine;
+  auto x = std::make_unique<Problem>(
+      Problem{scale_values(base.mask, 1.0), scale_values(base.a, 2.0),
+              scale_values(base.b, -1.0)});
+  EXPECT_TRUE(
+      test::csr_equal(test::reference_masked_spgemm<SR>(x->mask, x->a, x->b),
+                      engine.submit(x->mask, x->a, x->b, config).get()));
+  const Problem y{scale_values(base.mask, 1.0), scale_values(base.a, 0.5),
+                  scale_values(base.b, 3.0)};
+  x.reset();
+  auto handle = engine.submit(y.mask, y.a, y.b, config);
+  EXPECT_TRUE(
+      test::csr_equal(test::reference_masked_spgemm<SR>(y.mask, y.a, y.b),
+                      handle.get()));
+  EXPECT_TRUE(handle.stats().plan_cache_hit);
   EXPECT_EQ(engine.stats().plan_builds, 1u);
 }
 
@@ -978,6 +1007,28 @@ TEST_F(EngineRetryTest, MemoryBudgetBrownoutDegradesPlansInsteadOfFailing) {
   EXPECT_GT(stats.memory_high_water_bytes, stats.memory_budget_bytes);
   EXPECT_EQ(stats.memory_budget_bytes, 1024u);
   EXPECT_EQ(stats.jobs_failed, 0u);
+}
+
+TEST_F(EngineRetryTest, BlockedWindowChargesItsRealBytes) {
+  // The governor charges a blocked worker its window (map + slots +
+  // touch), computed from the plan's shape, not from the pool key.
+  const Problem p = make_problem(91, 400, 400, 2000, 0.01);
+  Config config;
+  config.mode = Strategy::kBlocked;
+  config.strategy = MaskStrategy::kHybrid;
+  EngineOptions options;
+  options.threads = 2;
+  options.memory_budget_bytes = std::uint64_t{64} << 20;
+  Engine<SR> engine(options);
+  EXPECT_TRUE(
+      test::csr_equal(test::reference_masked_spgemm<SR>(p.mask, p.a, p.b),
+                      engine.submit(p.mask, p.a, p.b, config).get()));
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.brownouts, 0u);
+  EXPECT_LE(stats.memory_usage_bytes, stats.memory_budget_bytes);
+  // At least one worker's column map over the one 2000-column block.
+  EXPECT_GE(stats.memory_usage_bytes,
+            static_cast<std::uint64_t>(p.b.cols()) * sizeof(I));
 }
 
 TEST_F(EngineRetryTest, UnlimitedBudgetStillTracksUsage) {

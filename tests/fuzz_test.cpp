@@ -130,7 +130,7 @@ TEST_P(FuzzRounds, BlockSliceExtractionRoundTrips) {
     std::vector<double> out_vals;
     for (I i = 0; i < rows; ++i) {
       for (std::size_t t = 0; t + 1 < block_begin.size(); ++t) {
-        const auto seg = slices[t].row_local_cols(i);
+        const auto seg = slices[t].view().row(i);
         const auto base = static_cast<std::size_t>(
             slices[t].entry_begin[static_cast<std::size_t>(i)]);
         for (std::size_t q = 0; q < seg.size(); ++q) {

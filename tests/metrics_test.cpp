@@ -385,8 +385,8 @@ TEST_F(MetricsTest, DeltaIsolatesOneMeasuredRegion) {
 }
 
 TEST_F(MetricsTest, BlockedDriverCountsCells) {
-  // A wide, thin mask keeps every 4096-column tile sparse, so the cells
-  // run on the hash accumulator and its inserts are counted.
+  // Every blocked cell runs the direct window, which counts flops but no
+  // accumulator events.
   const auto mask = test::random_matrix<double, I>(64, 8192, 0.001, 31);
   const auto a = test::random_matrix<double, I>(64, 64, 0.2, 32);
   const auto b = test::random_matrix<double, I>(64, 8192, 0.02, 33);
@@ -402,15 +402,12 @@ TEST_F(MetricsTest, BlockedDriverCountsCells) {
   const MetricsSnapshot snapshot = metrics_snapshot();
   EXPECT_EQ(snapshot.total.tiles_executed,
             static_cast<std::uint64_t>(stats.tiles));
-  EXPECT_EQ(snapshot.total.blocked_dense_picks +
-                snapshot.total.blocked_sparse_picks,
-            static_cast<std::uint64_t>(stats.tiles));
   EXPECT_GT(snapshot.total.flops, 0u);
-  EXPECT_GT(stats.accum_inserts, 0u);
-  EXPECT_EQ(snapshot.total.accum_inserts, stats.accum_inserts);
+  EXPECT_EQ(stats.accum_inserts, 0u);
+  EXPECT_EQ(snapshot.total.accum_inserts, 0u);
 }
 
-TEST_F(MetricsTest, RecordFormatsAsSchemaThreeJson) {
+TEST_F(MetricsTest, RecordFormatsAsSchemaFourJson) {
   const auto a = test::random_matrix<double, I>(50, 50, 0.1, 37);
   Config config;
   config.threads = 2;
@@ -425,7 +422,7 @@ TEST_F(MetricsTest, RecordFormatsAsSchemaThreeJson) {
   const std::string line = format_metrics_record(record, metrics_snapshot());
 
   EXPECT_TRUE(JsonChecker(line).valid()) << line;
-  EXPECT_EQ(line.find("{\"tilq_metrics\":3,"), 0u);
+  EXPECT_EQ(line.find("{\"tilq_metrics\":4,"), 0u);
   for (const char* field :
        {"\"source\"", "\"matrix\"", "\"config\"", "\"runs\"", "\"median_ms\"",
         "\"counters\"", "\"hw\"", "\"imbalance\"", "\"threads\"", "\"flops\"",

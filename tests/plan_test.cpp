@@ -260,6 +260,25 @@ TEST(PlanWorkspaces, PoolRebuildsOnlyOnCapabilityGrowth) {
   EXPECT_EQ(stats.retunes, 1u);
 }
 
+TEST(PlanWorkspaces, WindowPoolRebuildsWhenEitherDimensionGrows) {
+  using Window = DirectWindow<SR, I>;
+  WorkspacePool<Window> pool;
+  pool.reserve(1);
+  const auto acquire = [&](I width, I seg) {
+    return pool.acquire(0, Window::capability(width, seg),
+                        [&] { return Window(width, seg); })
+        .slots.size();
+  };
+  EXPECT_EQ(acquire(100, 10), 11u);
+  EXPECT_EQ(acquire(60, 10), 11u);  // narrower, same slots: reuse
+  EXPECT_EQ(pool.stats().constructions, 1u);
+  // Narrower but deeper: the wider window has too few slots, so rebuild.
+  EXPECT_EQ(acquire(60, 20), 21u);
+  EXPECT_EQ(pool.stats().constructions, 2u);
+  EXPECT_EQ(pool.stats().retunes, 1u);
+  EXPECT_EQ(Window::bytes(60, 20), 60 * sizeof(I) + 21 * (sizeof(double) + 1));
+}
+
 // ---------------------------------------------------------------------------
 // Plan introspection.
 // ---------------------------------------------------------------------------
@@ -293,21 +312,20 @@ TEST(PlanInfo, StatsReportPhasesAndPlanBuildTime) {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked plans: cache-blocked column tiles with per-tile dense/sparse
-// accumulator specialization (docs/ARCHITECTURE.md, "The blocked plan
-// stage"). The blocked space must be a pure layout change: bit-identical
-// to the 1D reference for every strategy x accumulator x marker width.
+// Blocked plans: column blocks whose cells all run the direct window
+// (docs/ARCHITECTURE.md, "The blocked plan stage"). The blocked space must
+// be a pure layout change: bit-identical to the 1D reference for every
+// strategy, at the auto width (one block aliasing the operands) and at a
+// narrow explicit width (several sliced blocks).
 // ---------------------------------------------------------------------------
 
-using BlockedTuple = std::tuple<MaskStrategy, AccumulatorKind, MarkerWidth>;
+using BlockedTuple = std::tuple<MaskStrategy, std::int64_t>;
 
 class BlockedExecute : public ::testing::TestWithParam<BlockedTuple> {};
 
 TEST_P(BlockedExecute, BitIdenticalToOneDimensionalAcrossRepeats) {
   Config config;
   config.strategy = std::get<0>(GetParam());
-  config.accumulator = std::get<1>(GetParam());
-  config.marker_width = std::get<2>(GetParam());
   config.num_tiles = 6;
   const Problem p = make_problem(61);
 
@@ -317,15 +335,18 @@ TEST_P(BlockedExecute, BitIdenticalToOneDimensionalAcrossRepeats) {
 
   Config blocked = config;
   blocked.mode = Strategy::kBlocked;
-  blocked.block_cols = 7;  // several narrow blocks across the 44 columns
+  blocked.block_cols = std::get<1>(GetParam());
   Executor<SR> exec;
   exec.plan(p.mask, p.a, p.b, blocked);
-  EXPECT_TRUE(exec.plan_data().is_blocked());
-  EXPECT_GT(exec.plan_data().cells_per_row_tile(), 1);
+  ASSERT_TRUE(exec.plan_data().is_blocked());
+  if (blocked.block_cols == 0) {
+    EXPECT_EQ(exec.plan_data().cells_per_row_tile(), 1u);
+  } else {
+    EXPECT_GT(exec.plan_data().cells_per_row_tile(), 1u);
+  }
   const auto first = exec.execute(p.mask, p.a, p.b);
   EXPECT_TRUE(test::csr_equal(one_d, first)) << blocked.describe();
-  // Pooled blocked workspaces (dense segment + sparse accumulator pair)
-  // must not perturb a single bit across reuse.
+  // Pooled windows must not perturb a single bit across reuse.
   for (int round = 0; round < 3; ++round) {
     EXPECT_TRUE(test::csr_equal(first, exec.execute(p.mask, p.a, p.b)))
         << blocked.describe() << " round=" << round;
@@ -337,15 +358,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(MaskStrategy::kMaskFirst, MaskStrategy::kCoIterate,
                           MaskStrategy::kHybrid),
-        ::testing::Values(AccumulatorKind::kDense, AccumulatorKind::kHash,
-                          AccumulatorKind::kBitmap),
-        ::testing::Values(MarkerWidth::k8, MarkerWidth::k64)),
+        // 0: one block aliasing the operands; 7: several narrow blocks
+        // across the 44 columns.
+        ::testing::Values(std::int64_t{0}, std::int64_t{7})),
     [](const auto& param_info) {
-      std::string name;
-      name += to_string(std::get<0>(param_info.param));
-      name += '_';
-      name += to_string(std::get<1>(param_info.param));
-      name += std::to_string(bits(std::get<2>(param_info.param)));
+      std::string name = to_string(std::get<0>(param_info.param));
+      name += "_width" + std::to_string(std::get<1>(param_info.param));
       for (auto& ch : name) {
         if (ch == '-') {
           ch = '_';
@@ -353,6 +371,38 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+TEST(BlockedPlan, AccumulatorAndMarkerSettingsGiveIdenticalOutput) {
+  // Blocked cells run the direct window whatever Config::accumulator,
+  // marker_width and reset say. A wide, thin mask (about 8 entries per
+  // 8192-column row) at one block and at two 4096-column blocks.
+  const Problem p = {test::random_matrix<double, I>(64, 8192, 0.001, 83),
+                     test::random_matrix<double, I>(64, 64, 0.2, 84),
+                     test::random_matrix<double, I>(64, 8192, 0.02, 85)};
+  const auto expected = test::reference_masked_spgemm<SR>(p.mask, p.a, p.b);
+  ASSERT_GT(expected.nnz(), 0);
+  for (const std::int64_t width : {std::int64_t{0}, std::int64_t{4096}}) {
+    for (const AccumulatorKind acc :
+         {AccumulatorKind::kDense, AccumulatorKind::kHash,
+          AccumulatorKind::kBitmap}) {
+      for (const MarkerWidth marker : {MarkerWidth::k8, MarkerWidth::k64}) {
+        for (const ResetPolicy reset :
+             {ResetPolicy::kMarker, ResetPolicy::kExplicit}) {
+          Config config;
+          config.mode = Strategy::kBlocked;
+          config.block_cols = width;
+          config.num_tiles = 4;
+          config.accumulator = acc;
+          config.marker_width = marker;
+          config.reset = reset;
+          EXPECT_TRUE(test::csr_equal(
+              expected, masked_spgemm<SR>(p.mask, p.a, p.b, config)))
+              << config.describe();
+        }
+      }
+    }
+  }
+}
 
 TEST(BlockedPlan, VanillaIsRejected) {
   const Problem p = make_problem(67);
@@ -377,8 +427,9 @@ TEST(BlockedPlan, PlanInfoClassifiesTiles) {
   const auto& info = exec.info();
   const std::int64_t cells = static_cast<std::int64_t>(plan.row_tiles.size()) *
                              plan.blocked->num_blocks();
-  EXPECT_EQ(info.dense_tiles + info.sparse_tiles, cells);
-  EXPECT_GT(info.dense_tiles + info.sparse_tiles, 0);
+  EXPECT_GT(cells, 0);
+  EXPECT_EQ(info.dense_tiles, cells);  // every cell runs the window
+  EXPECT_EQ(info.sparse_tiles, 0);
   EXPECT_EQ(plan.cells_per_row_tile(), plan.blocked->num_blocks());
   // One task per (row tile, column block) cell.
   ExecutionStats stats;
@@ -397,30 +448,34 @@ TEST(BlockedPlan, EmptyMaskGivesEmptyOutput) {
   EXPECT_EQ(c.nnz(), 0);
 }
 
-TEST(BlockedPlan, ExplicitResetPolicyMatchesOracle) {
-  // A wide, thin mask (about 8 entries per 8192-column row): every
-  // 4096-column tile falls below kDenseTileDensity, so the sparse-tile
-  // accumulator — the one the reset policy governs — runs every cell.
-  const Problem p = {test::random_matrix<double, I>(64, 8192, 0.001, 83),
-                     test::random_matrix<double, I>(64, 64, 0.2, 84),
-                     test::random_matrix<double, I>(64, 8192, 0.02, 85)};
-  const auto expected = test::reference_masked_spgemm<SR>(p.mask, p.a, p.b);
-  ASSERT_GT(expected.nnz(), 0);
-  for (const AccumulatorKind acc :
-       {AccumulatorKind::kDense, AccumulatorKind::kHash}) {
-    Config config;
-    config.mode = Strategy::kBlocked;
-    config.block_cols = 4096;
-    config.num_tiles = 4;
-    config.accumulator = acc;
-    config.reset = ResetPolicy::kExplicit;
-    Executor<SR> exec;
-    exec.plan(p.mask, p.a, p.b, config);
-    EXPECT_GT(exec.info().sparse_tiles, 0);
-    EXPECT_EQ(exec.info().dense_tiles, 0);
-    EXPECT_TRUE(test::csr_equal(expected, exec.execute(p.mask, p.a, p.b)))
-        << config.describe();
-  }
+TEST(BlockedPlan, AutoWidthIsOneBlockWithNoSlices) {
+  const Problem p = make_problem(77);
+  Config config;
+  config.mode = Strategy::kBlocked;
+  config.block_cols = 0;
+  Executor<SR> exec;
+  exec.plan(p.mask, p.a, p.b, config);
+  const Plan<I>& plan = exec.plan_data();
+  ASSERT_TRUE(plan.is_blocked());
+  EXPECT_EQ(plan.blocked->num_blocks(), 1);
+  EXPECT_EQ(plan.blocked->block_begin, (std::vector<I>{0, p.b.cols()}));
+  EXPECT_EQ(plan.blocked->block_width, p.b.cols());
+  EXPECT_TRUE(plan.blocked->b_blocks.empty());
+  EXPECT_TRUE(plan.blocked->m_blocks.empty());
+  EXPECT_EQ(plan.blocked->max_seg_entries, max_row_nnz(p.mask));
+  EXPECT_EQ(plan.cells_per_row_tile(), 1u);
+}
+
+TEST(BlockedPlan, AutoWidthTilesOnlyPastTheWindowCap) {
+  // Pure boundary arithmetic: no operand is allocated.
+  constexpr I kCols = (I{1} << 20) + 1;
+  EXPECT_EQ(make_column_blocks<I>(kCols, 0),
+            (std::vector<I>{0, I{1} << 19, I{1} << 20, kCols}));
+  EXPECT_EQ(make_column_blocks<I>(I{1} << 19, 0),
+            (std::vector<I>{0, I{1} << 19}));
+  // Explicit widths keep their clamp to kMaxColumnBlocks blocks.
+  EXPECT_EQ(make_column_blocks<I>(kCols, 7).size(),
+            static_cast<std::size_t>(kMaxColumnBlocks) + 1);
 }
 
 TEST(BlockedPlan, HubRowsSplitIntoColumnBlockTasks) {
@@ -463,21 +518,27 @@ TEST(BlockedPlan, HubRowsSplitIntoColumnBlockTasks) {
 
 TEST(BlockedPlan, ValueOnlyUpdatesReuseThePlan) {
   const Problem p = make_problem(73);
-  Config config;
-  config.mode = Strategy::kBlocked;
-  config.block_cols = 6;
-  Executor<SR> exec;
-  exec.plan(p.mask, p.a, p.b, config);
-  EXPECT_TRUE(
-      test::csr_equal(test::reference_masked_spgemm<SR>(p.mask, p.a, p.b),
-                      exec.execute(p.mask, p.a, p.b)));
-  // Same structure, new values: the blocked slices are structure-only with
-  // entry_begin indirection into the live value arrays, so no replan.
-  const auto a2 = scale_values(p.a, -1.5);
-  const auto b2 = scale_values(p.b, 3.0);
-  EXPECT_TRUE(
-      test::csr_equal(test::reference_masked_spgemm<SR>(p.mask, a2, b2),
-                      exec.execute(p.mask, a2, b2)));
+  // 0: one block reading the operands in place; 6: sliced blocks.
+  for (const std::int64_t width : {std::int64_t{0}, std::int64_t{6}}) {
+    Config config;
+    config.mode = Strategy::kBlocked;
+    config.block_cols = width;
+    Executor<SR> exec;
+    exec.plan(p.mask, p.a, p.b, config);
+    EXPECT_TRUE(
+        test::csr_equal(test::reference_masked_spgemm<SR>(p.mask, p.a, p.b),
+                        exec.execute(p.mask, p.a, p.b)))
+        << config.describe();
+    // Same structure, new values: the slices (or the aliased operands)
+    // are structure-only with entry_begin indirection into the live value
+    // arrays, so no replan.
+    const auto a2 = scale_values(p.a, -1.5);
+    const auto b2 = scale_values(p.b, 3.0);
+    EXPECT_TRUE(
+        test::csr_equal(test::reference_masked_spgemm<SR>(p.mask, a2, b2),
+                        exec.execute(p.mask, a2, b2)))
+        << config.describe();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -505,10 +566,7 @@ void expect_same_plan(const Plan<I>& x, const Plan<I>& y) {
   ASSERT_EQ(x.is_blocked(), y.is_blocked());
   if (x.is_blocked()) {
     EXPECT_EQ(x.blocked->block_begin, y.blocked->block_begin);
-    EXPECT_EQ(x.blocked->tile_dense, y.blocked->tile_dense);
     EXPECT_EQ(x.blocked->max_seg_entries, y.blocked->max_seg_entries);
-    EXPECT_EQ(x.blocked->dense_tiles, y.blocked->dense_tiles);
-    EXPECT_EQ(x.blocked->sparse_tiles, y.blocked->sparse_tiles);
     expect_same_slices(x.blocked->b_blocks, y.blocked->b_blocks);
     expect_same_slices(x.blocked->m_blocks, y.blocked->m_blocks);
   }
@@ -528,9 +586,11 @@ TEST(PlanSerialPhase, SerialAndParallelPlansAreIdentical) {
   blocked.mode = Strategy::kBlocked;
   blocked.block_cols = 37;
   blocked.num_tiles = 9;
+  Config one_block = blocked;
+  one_block.block_cols = 0;
   for (const Csr<double, I>* g : {&small, &large}) {
     const std::uint64_t fp = detail::structural_fingerprint(*g, *g, *g);
-    for (const Config& config : {hybrid, uniform, blocked}) {
+    for (const Config& config : {hybrid, uniform, blocked, one_block}) {
       SCOPED_TRACE(config.describe() + " nnz=" + std::to_string(g->nnz()));
       const Plan<I> team = detail::build_plan(*g, *g, *g, config, fp, true);
       const Plan<I> serial = detail::build_plan(*g, *g, *g, config, fp, false);
