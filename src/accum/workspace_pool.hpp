@@ -1,9 +1,10 @@
-// Per-thread workspace pool: keeps one accumulator (dense/hash/bitmap —
-// including its marker array) alive per OpenMP thread across execute()
-// calls, so iterated workloads pay the allocation + first-touch cost once
-// instead of once per call. Accumulators rely on their marker-based reset
-// protocol to stay row-clean between uses, so a pooled instance is handed
-// back exactly as reusable as a freshly constructed one.
+// Per-thread workspace pool: keeps one workspace (a dense/hash/bitmap
+// accumulator with its marker array, or the blocked space's direct window)
+// alive per worker slot across execute() calls, so iterated workloads pay
+// the allocation + first-touch cost once instead of once per call.
+// Accumulators rely on their marker-based reset protocol to stay row-clean
+// between uses, so a pooled instance is handed back exactly as reusable as
+// a freshly constructed one.
 //
 // A slot is rebuilt only when its recorded capability (columns for
 // dense/bitmap, row bound for hash) no longer covers the request — shrinking
@@ -13,6 +14,10 @@
 // per-slot counters make reuse observable: tests and the iterated-workload
 // bench assert `constructions` stays flat after warm-up.
 //
+// WorkspaceRegistry holds one pool per workspace type for a driver: the
+// OpenMP driver's Executor and the batch engine each own one, and
+// detail::bind_workspace (core/plan.hpp) draws a plan's pool from it.
+//
 // Thread safety: size the pool with reserve() before any concurrent use
 // (reserve itself is NOT safe against in-flight acquires); after that,
 // acquire() touches only the calling thread's slot, slots live in a deque
@@ -21,11 +26,16 @@
 // batch engine polls it while pool workers hold workspaces).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <mutex>
 #include <optional>
+#include <typeindex>
 #include <utility>
+#include <vector>
 
 #include "support/errors.hpp"
 #include "support/fault.hpp"
@@ -33,11 +43,19 @@
 
 namespace tilq {
 
-/// Aggregated pool counters (summed over slots by WorkspacePool::stats()).
+/// Aggregated pool counters (summed over slots by WorkspacePool::stats(),
+/// and over pools by WorkspaceRegistry::stats()).
 struct WorkspacePoolStats {
-  std::uint64_t acquisitions = 0;   ///< accumulators handed out
-  std::uint64_t constructions = 0;  ///< accumulators actually (re)built
+  std::uint64_t acquisitions = 0;   ///< workspaces handed out: one per task
+  std::uint64_t constructions = 0;  ///< workspaces actually (re)built
   std::uint64_t retunes = 0;        ///< rebuilds forced by a capability bump
+
+  WorkspacePoolStats& operator+=(const WorkspacePoolStats& o) noexcept {
+    acquisitions += o.acquisitions;
+    constructions += o.constructions;
+    retunes += o.retunes;
+    return *this;
+  }
 };
 
 /// Whether a resident workspace built for capability `have` serves a
@@ -53,12 +71,25 @@ template <class Acc>
   }
 }
 
+/// The typed pool's face to WorkspaceRegistry, which holds pools of every
+/// workspace type side by side.
+class WorkspacePoolBase {
+ public:
+  WorkspacePoolBase() = default;
+  WorkspacePoolBase(const WorkspacePoolBase&) = delete;
+  WorkspacePoolBase& operator=(const WorkspacePoolBase&) = delete;
+  virtual ~WorkspacePoolBase() = default;
+  virtual void reserve(int threads) = 0;
+  virtual void release() = 0;
+  [[nodiscard]] virtual WorkspacePoolStats stats() const = 0;
+};
+
 template <class Acc>
-class WorkspacePool {
+class WorkspacePool final : public WorkspacePoolBase {
  public:
   /// Ensures a slot exists for thread numbers [0, threads). Never shrinks:
   /// a later smaller team keeps the extra warm slots around.
-  void reserve(int threads) {
+  void reserve(int threads) override {
     if (threads > 0 && static_cast<std::size_t>(threads) > slots_.size()) {
       slots_.resize(static_cast<std::size_t>(threads));
     }
@@ -113,7 +144,7 @@ class WorkspacePool {
   /// pool's lifetime, not its current contents). Releases the slots' byte
   /// charges. Like reserve(), NOT safe against in-flight acquires: the
   /// engine calls this only while no job is in flight.
-  void release() {
+  void release() override {
     for (Slot& slot : slots_) {
       slot.acc.reset();
       slot.capability = 0;
@@ -124,7 +155,7 @@ class WorkspacePool {
     }
   }
 
-  [[nodiscard]] WorkspacePoolStats stats() const {
+  [[nodiscard]] WorkspacePoolStats stats() const override {
     WorkspacePoolStats total;
     for (const Slot& slot : slots_) {
       total.acquisitions +=
@@ -151,6 +182,71 @@ class WorkspacePool {
   // ones (atomics are immovable, and worker threads hold references).
   std::deque<Slot> slots_;
   MemoryGovernor* governor_ = nullptr;
+};
+
+/// One WorkspacePool per workspace type, created on first use, every one
+/// reserved to the registry's slot count and charged to its governor.
+/// pool() may run while other threads acquire from pools it returned
+/// earlier (pools never move and live as long as the registry), and
+/// stats() at any time; reserve() and release() reach every pool, so no
+/// acquire may be in flight during them.
+class WorkspaceRegistry {
+ public:
+  explicit WorkspaceRegistry(MemoryGovernor* governor = nullptr) noexcept
+      : governor_(governor) {}
+
+  /// The pool of workspace type Acc.
+  template <class Acc>
+  [[nodiscard]] WorkspacePool<Acc>& pool() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (const Entry& entry : pools_) {
+      if (entry.type == typeid(Acc)) {
+        return static_cast<WorkspacePool<Acc>&>(*entry.pool);
+      }
+    }
+    auto pool = std::make_unique<WorkspacePool<Acc>>();
+    pool->set_governor(governor_);
+    pool->reserve(slots_);
+    WorkspacePool<Acc>& out = *pool;
+    pools_.push_back({std::type_index(typeid(Acc)), std::move(pool)});
+    return out;
+  }
+
+  /// Ensures every pool, present and future, has slots [0, slots).
+  void reserve(int slots) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    slots_ = std::max(slots_, slots);
+    for (const Entry& entry : pools_) {
+      entry.pool->reserve(slots_);
+    }
+  }
+
+  /// Drops every pooled workspace and its governor charge.
+  void release() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (const Entry& entry : pools_) {
+      entry.pool->release();
+    }
+  }
+
+  [[nodiscard]] WorkspacePoolStats stats() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    WorkspacePoolStats total;
+    for (const Entry& entry : pools_) {
+      total += entry.pool->stats();
+    }
+    return total;
+  }
+
+ private:
+  struct Entry {
+    std::type_index type;
+    std::unique_ptr<WorkspacePoolBase> pool;
+  };
+  mutable std::mutex mutex_;
+  std::vector<Entry> pools_;
+  int slots_ = 0;
+  MemoryGovernor* governor_;
 };
 
 }  // namespace tilq

@@ -5,24 +5,31 @@
 #include <cstring>
 #include <limits>
 
+#include "core/plan.hpp"
 #include "support/rng.hpp"
 
 namespace tilq {
 
 namespace {
 
-/// Strips the fields that must not differentiate arms: robustness knobs
-/// and the thread count are the engine's call, not the bandit's.
+/// Strips the fields that must not differentiate arms: robustness knobs,
+/// the thread count and the schedule are the engine's call, not the
+/// bandit's.
 Config normalized(Config config, const Config& base) {
   config.threads = base.threads;
+  config.schedule = base.schedule;
   config.validate_inputs = base.validate_inputs;
   config.degrade_on_saturation = base.degrade_on_saturation;
   return config;
 }
 
+/// Appends `config` unless an arm already builds the same plan and binds
+/// the same workspace (detail::canonical): such arms could only differ by
+/// noise.
 void push_unique(std::vector<Config>& arms, Config config) {
+  const Config key = detail::canonical(config);
   for (const Config& existing : arms) {
-    if (existing == config) {
+    if (detail::canonical(existing) == key) {
       return;
     }
   }
@@ -88,7 +95,9 @@ std::vector<Config> candidate_arm_configs(const Config& submitted,
   }
 
   // Execution-space sweep: the cache-blocked space at auto width. Its
-  // cells run one kernel whatever the accumulator, so one arm covers it.
+  // cells run one kernel whatever the accumulator, so one arm covers it
+  // (and on a blocked submission the accumulator and marker arms above and
+  // below collapse into arm 0).
   // The vanilla kernel has no column-restricted formulation, so that arm
   // falls back to mask-first.
   {

@@ -116,8 +116,9 @@ struct Config {
 /// One thread's share of a driver's compute phase — the measured side of
 /// the load-imbalance story (the model's predicted CV lives in
 /// ProblemFeatures::row_work_cv). busy_ms covers the thread's tile loop
-/// only: accumulator construction and the region's entry/exit barriers are
-/// excluded, so ragged tile schedules show up undiluted.
+/// only — including the workspace it builds on its first tile — and
+/// excludes the region's entry/exit barriers, so ragged tile schedules
+/// show up undiluted.
 struct ThreadWork {
   int thread = 0;           ///< OpenMP thread number inside the region
   double busy_ms = 0.0;     ///< wall time spent executing tiles

@@ -10,8 +10,10 @@
 //     * accumulator sizing (mask row bound; FLOP bound for vanilla)
 //     * structural fingerprint (rowptr/colidx hash) of all three operands
 //   execute(M, A, B [, stats]) — numeric phase, runs per iteration:
-//     * compute + compact only, against pooled per-thread accumulators
-//       (src/accum/workspace_pool.hpp) and reused bound buffers
+//     * compute + compact only, against pooled per-slot workspaces
+//       (src/accum/workspace_pool.hpp) and reused bound buffers; the
+//       workspace type is bound once per plan by detail::bind_workspace,
+//       the one binding the OpenMP driver and the batch engine share
 //     * verifies the fingerprint first; a structure change since plan()
 //       raises StalePlanError instead of computing garbage
 //
@@ -37,7 +39,6 @@
 #include <optional>
 #include <span>
 #include <type_traits>
-#include <typeinfo>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -128,32 +129,6 @@ template <class T, class I>
   return hash_bytes(&db, sizeof db, h);
 }
 
-/// Reused driver-level scratch (distinct from the accumulators, which live
-/// in the WorkspacePool): the mask-bounded output slots and per-row/cell
-/// counts. ensure() only reallocates on growth, so steady-state executes
-/// perform zero allocations here.
-template <class T, class I>
-struct DriverBuffers {
-  std::vector<I> bound_cols;
-  std::vector<T> bound_vals;
-  std::vector<I> row_counts;
-  std::vector<I> cell_counts;  ///< multi-block plans: rows x blocks, row-major
-  std::uint64_t grows = 0;     ///< how many ensure() calls had to grow
-
-  void ensure(std::size_t mask_nnz, std::size_t rows, std::size_t cells) {
-    const bool grew = mask_nnz > bound_cols.capacity() ||
-                      rows > row_counts.capacity() ||
-                      cells > cell_counts.capacity();
-    bound_cols.resize(mask_nnz);
-    bound_vals.resize(mask_nnz);
-    row_counts.assign(rows, I{0});
-    cell_counts.assign(cells, I{0});
-    if (grew) {
-      ++grows;
-    }
-  }
-};
-
 }  // namespace detail
 
 /// Everything plan() derives from structure. Immutable between plan() calls;
@@ -180,14 +155,49 @@ struct Plan {
 
   [[nodiscard]] bool is_blocked() const noexcept { return blocked != nullptr; }
   /// Cells one row tile fans out into: column blocks (blocked) or 1 (1D).
-  /// task_count = row_tiles.size() x this.
   [[nodiscard]] std::size_t cells_per_row_tile() const noexcept {
     return blocked != nullptr ? static_cast<std::size_t>(blocked->num_blocks())
                               : 1;
   }
+  /// Tasks one execute runs: every row tile times its cells.
+  [[nodiscard]] std::int64_t task_count() const noexcept {
+    return static_cast<std::int64_t>(row_tiles.size() * cells_per_row_tile());
+  }
 };
 
 namespace detail {
+
+/// Reused driver-level scratch (distinct from the workspaces, which live
+/// in a WorkspacePool): the mask-bounded output slots and per-row/cell
+/// counts. ensure() only reallocates on growth, so steady-state executes
+/// perform zero allocations here.
+template <class T, class I>
+struct DriverBuffers {
+  std::vector<I> bound_cols;
+  std::vector<T> bound_vals;
+  std::vector<I> row_counts;
+  std::vector<I> cell_counts;  ///< multi-block plans: rows x blocks, row-major
+  std::uint64_t grows = 0;     ///< how many ensure() calls had to grow
+
+  /// Sizes the buffers for one execute of `plan` against a mask of
+  /// `mask_nnz` entries: a slot per mask entry, a count per row, and on
+  /// multi-block plans a count per (row, block) cell.
+  void ensure(const Plan<I>& plan, std::size_t mask_nnz) {
+    const auto rows = static_cast<std::size_t>(plan.rows);
+    const std::size_t blocks = plan.cells_per_row_tile();
+    const std::size_t cells = blocks > 1 ? rows * blocks : 0;
+    const bool grew = mask_nnz > bound_cols.capacity() ||
+                      rows > row_counts.capacity() ||
+                      cells > cell_counts.capacity();
+    bound_cols.resize(mask_nnz);
+    bound_vals.resize(mask_nnz);
+    row_counts.assign(rows, I{0});
+    cell_counts.assign(cells, I{0});
+    if (grew) {
+      ++grows;
+    }
+  }
+};
 
 /// Accumulator sizing (§III-C): the hash table is bounded by the maximal
 /// mask-row nnz, except the vanilla strategy which fills the accumulator
@@ -207,9 +217,9 @@ I accumulator_row_bound(const Csr<T, I>& mask, const Csr<T, I>& a,
 
 /// Operand size, nnz(M) + nnz(A), below which build_plan keeps its loops
 /// serial even when allowed a team (the role kSerialCutoff plays in
-/// exclusive_scan). On small operands an OpenMP team costs more than it
-/// saves, and beside the batch engine's pool workers its threads compete
-/// for the same cores.
+/// exclusive_scan): on small operands an OpenMP team costs more than it
+/// saves. Only Executor::plan (and so one-shot masked_spgemm) plans with a
+/// team; the batch engine always plans serially.
 inline constexpr std::int64_t kSerialPlanCutoff = std::int64_t{1} << 15;
 
 /// The structure phase as a free function: validates shapes (and, under
@@ -218,7 +228,8 @@ inline constexpr std::int64_t kSerialPlanCutoff = std::int64_t{1} << 15;
 /// caller's structural_fingerprint of (mask, a, b), stored as
 /// PlanInfo::fingerprint, so a caller that already hashed the operands does
 /// not hash them twice. `parallel` = false starts no OpenMP threads (the
-/// batch engine's pool workers pass it); otherwise operands below
+/// batch engine passes it: it plans on client threads and pool workers,
+/// beside the pool's own threads); otherwise operands below
 /// kSerialPlanCutoff still plan serially. Both give the same plan.
 /// Executor::plan and the batch engine's shared plan
 /// cache (core/engine.hpp) both delegate here, so a cached engine plan is
@@ -367,6 +378,9 @@ struct FallbackAccumulator<HashAccumulator<SR, I, Marker>> {
 struct TileTaskStats {
   std::int64_t rows = 0;       ///< row visits performed by this task
   std::uint64_t degrades = 0;  ///< rows replayed on the dense fallback
+  /// The task's accumulator events, dense fallback included (zero on the
+  /// window, which counts none).
+  AccumulatorCounters counters;
 };
 
 /// One (row tile x column block) task of the blocked driver: every cell
@@ -406,26 +420,25 @@ TileTaskStats run_blocked_tile_task(const Plan<I>& plan, const Config& config,
   return out;
 }
 
-/// One tile task of the numeric phase: task index `task` of `plan`, run
-/// against `acc`, writing into `buffers`' mask-bounded slots. This is the
-/// single shared body behind both schedulers — the OpenMP worksharing loop
-/// in planned_execute and the batch engine's pool workers (core/engine.hpp)
-/// call exactly this function, so the two paths stay bit-identical by
-/// construction. `fallback` is the caller's lazily-built dense escalation
-/// target, kept across tasks so a degrading worker builds it only once
-/// (unused by the blocked path, whose window cannot saturate).
+/// One tile task of the 1D driver: task index `task` of `plan`, run
+/// against `acc`, writing into `buffers`' mask-bounded slots. A saturated
+/// row replays on a dense fallback with the same marker type, built on the
+/// task's first degrade (most tasks never build it).
 template <Semiring SR, class T, class I, class Acc>
-TileTaskStats run_scalar_tile_task(
-    const Plan<I>& plan, const Config& config, const Csr<T, I>& mask,
-    const Csr<T, I>& a, const Csr<T, I>& b, std::int64_t task, Acc& acc,
-    std::optional<typename FallbackAccumulator<Acc>::type>& fallback,
-    DriverBuffers<T, I>& buffers) {
+TileTaskStats run_scalar_tile_task(const Plan<I>& plan, const Config& config,
+                                   const Csr<T, I>& mask, const Csr<T, I>& a,
+                                   const Csr<T, I>& b, std::int64_t task,
+                                   Acc& acc, DriverBuffers<T, I>& buffers) {
   using Fallback = FallbackAccumulator<Acc>;
   const auto mask_row_ptr = mask.row_ptr();
   const Tile tile = plan.row_tiles[static_cast<std::size_t>(task)];
   TraceSpan tile_span("tile", task);
   TileTaskStats out;
   out.rows += tile.row_end - tile.row_begin;
+  // Pooled accumulators keep counting across tasks, so the task reports
+  // its delta.
+  const AccumulatorCounters at_entry = acc.counters();
+  std::optional<typename Fallback::type> fallback;
   for (I i = static_cast<I>(tile.row_begin); i < static_cast<I>(tile.row_end);
        ++i) {
     I* out_cols =
@@ -466,27 +479,184 @@ TileTaskStats run_scalar_tile_task(
     }
     buffers.row_counts[static_cast<std::size_t>(i)] = count;
   }
+  out.counters = acc.counters() - at_entry;
+  if constexpr (Fallback::available) {
+    if (fallback.has_value()) {
+      out.counters += fallback->counters();
+    }
+  }
   return out;
 }
 
 /// Compile-time dispatch over the workspace type: a DirectWindow runs the
 /// blocked driver, an accumulator the 1D one. Instantiating only the
-/// matching branch is what lets one worksharing loop (and the engine's one
-/// pool-worker body) serve both execution spaces.
+/// matching branch is what lets one task runner (bind_workspace) serve
+/// both execution spaces.
 template <Semiring SR, class T, class I, class Acc>
-TileTaskStats run_tile_task(
-    const Plan<I>& plan, const Config& config, const Csr<T, I>& mask,
-    const Csr<T, I>& a, const Csr<T, I>& b, std::int64_t task, Acc& acc,
-    std::optional<typename FallbackAccumulator<Acc>::type>& fallback,
-    DriverBuffers<T, I>& buffers) {
+TileTaskStats run_tile_task(const Plan<I>& plan, const Config& config,
+                            const Csr<T, I>& mask, const Csr<T, I>& a,
+                            const Csr<T, I>& b, std::int64_t task, Acc& acc,
+                            DriverBuffers<T, I>& buffers) {
   if constexpr (std::is_same_v<Acc, DirectWindow<SR, I>>) {
-    (void)fallback;
     return run_blocked_tile_task<SR>(plan, config, mask, a, b, task, acc,
                                      buffers);
   } else {
     return run_scalar_tile_task<SR>(plan, config, mask, a, b, task, acc,
-                                    fallback, buffers);
+                                    buffers);
   }
+}
+
+/// One tile task of a bound plan (bind_workspace) on workspace slot
+/// `slot`, the OpenMP thread number or the pool worker index. This is the
+/// single task body behind both schedulers — planned_execute's worksharing
+/// loop and the batch engine's pool tasks (core/engine.hpp) call it — so
+/// the two paths stay bit-identical by construction.
+template <class T, class I>
+using TaskRunner = std::function<TileTaskStats(
+    const Plan<I>& plan, const Config& config, const Csr<T, I>& mask,
+    const Csr<T, I>& a, const Csr<T, I>& b, std::int64_t task, int slot,
+    DriverBuffers<T, I>& buffers)>;
+
+/// A workspace's pool key (its WorkspacePool capability) and the bytes the
+/// memory governor charges for one.
+struct WorkspaceKey {
+  std::uint64_t capability = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// Key of an accumulator sized by `units` (columns, or the hash row
+/// bound), priced at a value and an index per unit.
+template <class T, class I>
+[[nodiscard]] WorkspaceKey accumulator_key(I units) noexcept {
+  const auto n = static_cast<std::uint64_t>(units);
+  return {n, n * (sizeof(T) + sizeof(I))};
+}
+
+/// The runner of workspace type Acc, drawing from Acc's pool in
+/// `registry`: per task it acquires the slot's workspace — built by
+/// `make(plan, config)`, keyed and priced by `key(plan)` — and runs the
+/// task on it. Both callables are captureless, so the runner holds only the
+/// pool and binding it allocates nothing.
+template <Semiring SR, class T, class I, class Acc, class Make, class Key>
+TaskRunner<T, I> bind_pool(WorkspaceRegistry& registry, Make make, Key key) {
+  WorkspacePool<Acc>* const pool = &registry.pool<Acc>();
+  return [pool, make, key](const Plan<I>& plan, const Config& config,
+                           const Csr<T, I>& mask, const Csr<T, I>& a,
+                           const Csr<T, I>& b, std::int64_t task, int slot,
+                           DriverBuffers<T, I>& buffers) {
+    const WorkspaceKey k = key(plan);
+    Acc& acc = pool->acquire(
+        slot, k.capability, [&] { return make(plan, config); }, k.bytes);
+    return run_tile_task<SR>(plan, config, mask, a, b, task, acc, buffers);
+  };
+}
+
+/// The accumulators of one marker type: dense (sized by the columns) or
+/// hash (sized by the plan's row bound).
+template <Semiring SR, class T, class I, class Marker>
+TaskRunner<T, I> bind_marked(const Config& config,
+                             WorkspaceRegistry& registry) {
+  switch (config.accumulator) {
+    case AccumulatorKind::kDense:
+      return bind_pool<SR, T, I, DenseAccumulator<SR, I, Marker>>(
+          registry,
+          [](const Plan<I>& p, const Config& c) {
+            return DenseAccumulator<SR, I, Marker>(p.cols, c.reset);
+          },
+          [](const Plan<I>& p) { return accumulator_key<T>(p.cols); });
+    case AccumulatorKind::kHash:
+      return bind_pool<SR, T, I, HashAccumulator<SR, I, Marker>>(
+          registry,
+          [](const Plan<I>& p, const Config& c) {
+            return HashAccumulator<SR, I, Marker>(p.accumulator_bound,
+                                                  c.reset);
+          },
+          [](const Plan<I>& p) {
+            return accumulator_key<T>(p.accumulator_bound);
+          });
+    case AccumulatorKind::kBitmap:
+      break;  // markerless: bind_workspace binds it
+  }
+  require(false, "bind_workspace: invalid accumulator kind");
+  return {};
+}
+
+/// The workspace binding both drivers share: the only code that names a
+/// workspace type, builds one, keys it in its pool and prices it for the
+/// governor. A blocked plan runs the direct window whatever the
+/// accumulator, marker and reset settings say — its map spans the widest
+/// block and its slots the largest mask segment, and the governor charges
+/// its real bytes (the packed key is not a size). A 1D plan runs
+/// Config::accumulator: bitmap (1-bit flags, no marker or reset policy),
+/// or dense or hash at Config::marker_width.
+template <Semiring SR, class T, class I>
+[[nodiscard]] TaskRunner<T, I> bind_workspace(const Plan<I>& plan,
+                                              const Config& config,
+                                              WorkspaceRegistry& registry) {
+  if (plan.is_blocked()) {
+    using Window = DirectWindow<SR, I>;
+    return bind_pool<SR, T, I, Window>(
+        registry,
+        [](const Plan<I>& p, const Config&) {
+          return Window(p.blocked->block_width, p.accumulator_bound);
+        },
+        [](const Plan<I>& p) {
+          const I width = p.blocked->block_width;
+          return WorkspaceKey{Window::capability(width, p.accumulator_bound),
+                              Window::bytes(width, p.accumulator_bound)};
+        });
+  }
+  if (config.accumulator == AccumulatorKind::kBitmap) {
+    using Bitmap = BitmapAccumulator<SR, I>;
+    return bind_pool<SR, T, I, Bitmap>(
+        registry,
+        [](const Plan<I>& p, const Config&) { return Bitmap(p.cols); },
+        [](const Plan<I>& p) { return accumulator_key<T>(p.cols); });
+  }
+  switch (config.marker_width) {
+    case MarkerWidth::k8:
+      return bind_marked<SR, T, I, std::uint8_t>(config, registry);
+    case MarkerWidth::k16:
+      return bind_marked<SR, T, I, std::uint16_t>(config, registry);
+    case MarkerWidth::k32:
+      return bind_marked<SR, T, I, std::uint32_t>(config, registry);
+    case MarkerWidth::k64:
+      return bind_marked<SR, T, I, std::uint64_t>(config, registry);
+  }
+  require(false, "bind_workspace: invalid marker width");
+  return {};
+}
+
+/// `config` with every field the plan and its workspace binding ignore set
+/// to its default, so configs that build the same plan and bind the same
+/// workspace compare equal. It keys the batch engine's plan cache,
+/// PlanCache's replan test and the bandit's arm deduplication. Blocked
+/// plans ignore the accumulator, marker, reset and saturation settings
+/// (every cell runs the window); 1D plans ignore block_cols; bitmap has no
+/// marker or reset policy; only hash saturates; κ matters only to hybrid.
+/// Config::threads and Config::schedule stay: the OpenMP driver reads
+/// both, and the engine pins them itself.
+[[nodiscard]] inline Config canonical(Config config) {
+  const Config defaults;
+  if (config.mode == Strategy::kBlocked) {
+    config.accumulator = defaults.accumulator;
+    config.marker_width = defaults.marker_width;
+    config.reset = defaults.reset;
+    config.degrade_on_saturation = defaults.degrade_on_saturation;
+  } else {
+    config.block_cols = defaults.block_cols;
+    if (config.accumulator == AccumulatorKind::kBitmap) {
+      config.marker_width = defaults.marker_width;
+      config.reset = defaults.reset;
+    }
+    if (config.accumulator != AccumulatorKind::kHash) {
+      config.degrade_on_saturation = defaults.degrade_on_saturation;
+    }
+  }
+  if (config.strategy != MaskStrategy::kHybrid) {
+    config.coiteration_factor = defaults.coiteration_factor;
+  }
+  return config;
 }
 
 /// The compact phase against filled driver buffers. `parallel` selects the
@@ -551,35 +721,29 @@ Csr<T, I> compact_planned(const Plan<I>& plan, const Csr<T, I>& mask,
 #pragma omp declare reduction(+ : AccumulatorCounters : omp_out += omp_in) \
     initializer(omp_priv = AccumulatorCounters{})
 
-/// The numeric phase (compute + compact) against a built plan. Handles the
-/// 1D and blocked drivers; trace span names stay those of the original 1D
-/// driver ("spgemm.*" / "tile") so existing trace consumers keep working;
-/// the blocked path adds "spgemmblk.*" / "tileblk".
-///
-/// `make` constructs one accumulator for the current plan+config;
-/// `capability` is the pool's rebuild key (columns for dense/bitmap, row
-/// bound for hash — see WorkspacePool).
-template <Semiring SR, class T, class I, class Acc, class MakeAcc>
+/// The numeric phase (compute + compact) of a plan bound to `run`
+/// (bind_workspace), on an OpenMP team: each thread runs the tasks it
+/// draws on its own workspace slot of `registry`, so a thread that draws
+/// no task builds no workspace. Handles the 1D and blocked drivers; trace
+/// span names stay those of the original 1D driver ("spgemm.*" / "tile")
+/// so existing trace consumers keep working; the blocked path adds
+/// "spgemmblk.*" / "tileblk".
+template <class T, class I>
 Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
                           const Csr<T, I>& mask, const Csr<T, I>& a,
-                          const Csr<T, I>& b, WorkspacePool<Acc>& pool,
-                          std::uint64_t capability, MakeAcc&& make,
+                          const Csr<T, I>& b, const TaskRunner<T, I>& run,
+                          WorkspaceRegistry& registry,
                           DriverBuffers<T, I>& buffers,
                           ExecutionStats* stats) {
   const bool blocked = plan.is_blocked();
   WallTimer phase;
-  const I rows = a.rows();
   const int threads = config.threads > 0 ? config.threads : max_threads();
 
-  const std::size_t cells = plan.cells_per_row_tile();
-  buffers.ensure(static_cast<std::size_t>(mask.nnz()),
-                 static_cast<std::size_t>(rows),
-                 cells > 1 ? static_cast<std::size_t>(rows) * cells : 0);
-  pool.reserve(threads);
+  buffers.ensure(plan, static_cast<std::size_t>(mask.nnz()));
+  registry.reserve(threads);
 
   set_runtime_schedule(config.schedule);
-  const auto task_count =
-      static_cast<std::int64_t>(plan.row_tiles.size() * cells);
+  const std::int64_t task_count = plan.task_count();
 
   AccumulatorCounters totals;
   std::uint64_t total_degrades = 0;
@@ -593,7 +757,6 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
   // remaining tiles become no-ops. No exception may cross the region
   // boundary (that would be std::terminate under OpenMP).
   ParallelGuard guard;
-  using Fallback = FallbackAccumulator<Acc>;
 
   {
     TraceSpan compute_span(blocked ? "spgemmblk.compute" : "spgemm.compute");
@@ -604,20 +767,6 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
 #pragma omp single
       team_size = omp_get_num_threads();
 
-      // A thread whose acquisition failed must still encounter the
-      // worksharing loop below (OpenMP requires the whole team to meet the
-      // same constructs), so failure leaves `acc` null and the loop bodies
-      // become no-ops instead of the thread bailing out of the region.
-      Acc* acc = nullptr;
-      AccumulatorCounters counters_at_entry;
-      guard.run([&] {
-        acc = &pool.acquire(thread_num, capability, make);
-        counters_at_entry = acc->counters();
-      });
-      // Saturated rows re-run on a dense fallback with the same
-      // marker type, built lazily on first degrade (most executes never
-      // touch it).
-      std::optional<typename Fallback::type> fallback;
 #if TILQ_METRICS_ENABLED
       MetricCounters* const thread_counters = metrics_thread_counters();
       // Hardware counters for this thread's share of the region; inactive
@@ -627,19 +776,21 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
       std::int64_t my_tiles = 0;
       std::int64_t my_rows = 0;
       std::uint64_t my_degrades = 0;
+      AccumulatorCounters my_counters;
       WallTimer busy;
 
 #pragma omp for schedule(runtime) nowait
       for (std::int64_t task = 0; task < task_count; ++task) {
-        if (acc == nullptr || guard.cancelled()) {
+        if (guard.cancelled()) {
           continue;  // cooperative cancellation: skip the body, not the loop
         }
         guard.run([&] {
-          const TileTaskStats tile = run_tile_task<SR>(
-              plan, config, mask, a, b, task, *acc, fallback, buffers);
+          const TileTaskStats tile =
+              run(plan, config, mask, a, b, task, thread_num, buffers);
           ++my_tiles;
           my_rows += tile.rows;
           my_degrades += tile.degrades;
+          my_counters += tile.counters;
         });
       }
       const double busy_ms = busy.milliseconds();
@@ -647,28 +798,16 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
         thread_work[static_cast<std::size_t>(thread_num)] = {
             thread_num, busy_ms, my_tiles, my_rows};
       }
-
-      AccumulatorCounters acc_counters;
-      if (acc != nullptr) {
-        acc_counters = acc->counters() - counters_at_entry;
-      }
-      if constexpr (Fallback::available) {
-        // The fallback is built fresh each execute, so its counters need no
-        // entry snapshot; fold them so degraded rows stay observable.
-        if (fallback.has_value()) {
-          acc_counters += fallback->counters();
-        }
-      }
-      totals += acc_counters;
+      totals += my_counters;
       total_degrades += my_degrades;
 #if TILQ_METRICS_ENABLED
-      // Per-accumulator counters fold into the owning thread's global slot
-      // so the metrics registry sees the same totals as ExecutionStats.
+      // Per-task counters fold into the owning thread's global slot so the
+      // metrics registry sees the same totals as ExecutionStats.
       if (thread_counters != nullptr) {
         thread_counters->tiles_executed += static_cast<std::uint64_t>(my_tiles);
         thread_counters->rows_processed += static_cast<std::uint64_t>(my_rows);
         thread_counters->busy_ns += static_cast<std::uint64_t>(busy_ms * 1e6);
-        add_accumulator_counters(*thread_counters, acc_counters);
+        add_accumulator_counters(*thread_counters, my_counters);
         thread_counters->accum_degrades += my_degrades;
         if (HwCounters* const hw = metrics_thread_hw()) {
           *hw += perf_scope.delta();
@@ -708,10 +847,11 @@ Csr<T, I> planned_execute(const Plan<I>& plan, const Config& config,
 }  // namespace detail
 
 /// Reusable execution engine: plan() runs the structure phase and binds the
-/// accumulator dispatch once; execute() runs the numeric phase against
-/// pooled per-thread workspaces. One Executor serves one operand structure
-/// at a time; replanning (same Executor, new structure or config) keeps the
-/// workspace pool warm whenever the accumulator type is unchanged.
+/// plan's workspace once (detail::bind_workspace); execute() runs the
+/// numeric phase against pooled per-thread workspaces. One Executor serves
+/// one operand structure at a time; replanning (same Executor, new
+/// structure or config) keeps the workspace pool warm whenever the
+/// workspace type is unchanged.
 template <Semiring SR, class T = typename SR::value_type,
           class I = std::int64_t>
 class Executor {
@@ -725,7 +865,7 @@ class Executor {
     config_ = config;
     plan_ = detail::build_plan(mask, a, b, config,
                                detail::structural_fingerprint(mask, a, b));
-    bind_dispatch();
+    run_ = detail::bind_workspace<SR, T>(plan_, config_, *registry_);
     plan_.info.build_ms = build.milliseconds();
     planned_ = true;
   }
@@ -757,9 +897,10 @@ class Executor {
   [[nodiscard]] const PlanInfo& info() const noexcept { return plan_.info; }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
-  /// Aggregated workspace-pool counters (zero until the first execute).
+  /// Workspace-pool counters summed over every workspace type this
+  /// Executor has run (zero until the first execute).
   [[nodiscard]] WorkspacePoolStats pool_stats() const {
-    return pool_stats_ ? pool_stats_() : WorkspacePoolStats{};
+    return registry_->stats();
   }
 
   /// Driver-buffer growth count: flat across executes once warmed up.
@@ -772,18 +913,12 @@ class Executor {
     plan_ = Plan<I>{};
     config_ = Config{};
     run_ = nullptr;
-    pool_stats_ = nullptr;
-    pool_.reset();
-    pool_type_ = nullptr;
+    registry_->release();
     *buffers_ = detail::DriverBuffers<T, I>{};
     planned_ = false;
   }
 
  private:
-  using Runner = std::function<Csr<T, I>(
-      const Plan<I>&, const Config&, const Csr<T, I>&, const Csr<T, I>&,
-      const Csr<T, I>&, detail::DriverBuffers<T, I>&, ExecutionStats*)>;
-
   Csr<T, I> execute_impl(const Csr<T, I>& mask, const Csr<T, I>& a,
                          const Csr<T, I>& b, ExecutionStats* stats) {
     require(planned_, "Executor::execute: no plan built — call plan() first");
@@ -803,120 +938,29 @@ class Executor {
       // per execute is the staleness check.
       stats->analyze_ms = verify.milliseconds();
     }
-    return run_(plan_, config_, mask, a, b, *buffers_, stats);
-  }
-
-  /// Resolves the (marker width x accumulator kind) dispatch once, binding
-  /// a runner that carries the workspace pool. The pool survives replans
-  /// that keep the same accumulator type. A blocked plan binds the direct
-  /// window whatever the accumulator, marker and reset settings say.
-  void bind_dispatch() {
-    if (plan_.is_blocked()) {
-      using Window = DirectWindow<SR, I>;
-      bind_runner<Window>(
-          [](const Plan<I>& p, const Config&) {
-            return Window(p.blocked->block_width, p.accumulator_bound);
-          },
-          [](const Plan<I>& p) {
-            return Window::capability(p.blocked->block_width,
-                                      p.accumulator_bound);
-          });
-      return;
-    }
-    switch (config_.marker_width) {
-      case MarkerWidth::k8:
-        bind_accumulator<std::uint8_t>();
-        return;
-      case MarkerWidth::k16:
-        bind_accumulator<std::uint16_t>();
-        return;
-      case MarkerWidth::k32:
-        bind_accumulator<std::uint32_t>();
-        return;
-      case MarkerWidth::k64:
-        bind_accumulator<std::uint64_t>();
-        return;
-    }
-    require(false, "Executor::plan: invalid marker width");
-  }
-
-  template <class Marker>
-  void bind_accumulator() {
-    switch (config_.accumulator) {
-      case AccumulatorKind::kDense:
-        bind_runner<DenseAccumulator<SR, I, Marker>>(
-            [](const Plan<I>& p, const Config& c) {
-              return DenseAccumulator<SR, I, Marker>(p.cols, c.reset);
-            },
-            [](const Plan<I>& p) {
-              return static_cast<std::uint64_t>(p.cols);
-            });
-        return;
-      case AccumulatorKind::kBitmap:
-        // 1-bit flags: the marker width and reset policy are fixed by the
-        // representation (explicit reset only).
-        bind_runner<BitmapAccumulator<SR, I>>(
-            [](const Plan<I>& p, const Config&) {
-              return BitmapAccumulator<SR, I>(p.cols);
-            },
-            [](const Plan<I>& p) {
-              return static_cast<std::uint64_t>(p.cols);
-            });
-        return;
-      case AccumulatorKind::kHash:
-        bind_runner<HashAccumulator<SR, I, Marker>>(
-            [](const Plan<I>& p, const Config& c) {
-              return HashAccumulator<SR, I, Marker>(p.accumulator_bound,
-                                                    c.reset);
-            },
-            [](const Plan<I>& p) {
-              return static_cast<std::uint64_t>(p.accumulator_bound);
-            });
-        return;
-    }
-    require(false, "Executor::plan: invalid accumulator kind");
-  }
-
-  /// `factory(plan, config)` builds one accumulator; `capability(plan)` is
-  /// the pool rebuild key. Both are stateless, so the bound runner stays
-  /// valid across replans — only the pool's concrete type matters.
-  template <class Acc, class Factory, class Capability>
-  void bind_runner(Factory factory, Capability capability) {
-    std::shared_ptr<WorkspacePool<Acc>> pool;
-    if (pool_type_ != nullptr && *pool_type_ == typeid(Acc)) {
-      pool = std::static_pointer_cast<WorkspacePool<Acc>>(pool_);
-    } else {
-      pool = std::make_shared<WorkspacePool<Acc>>();
-      pool_ = pool;
-      pool_type_ = &typeid(Acc);
-    }
-    pool_stats_ = [pool] { return pool->stats(); };
-    run_ = [pool, factory, capability](
-               const Plan<I>& plan, const Config& config,
-               const Csr<T, I>& mask, const Csr<T, I>& a, const Csr<T, I>& b,
-               detail::DriverBuffers<T, I>& buffers, ExecutionStats* stats) {
-      return detail::planned_execute<SR>(
-          plan, config, mask, a, b, *pool, capability(plan),
-          [&] { return factory(plan, config); }, buffers, stats);
-    };
+    return detail::planned_execute(plan_, config_, mask, a, b, run_,
+                                   *registry_, *buffers_, stats);
   }
 
   Plan<I> plan_{};
   Config config_{};
-  Runner run_;
-  std::function<WorkspacePoolStats()> pool_stats_;
-  std::shared_ptr<void> pool_;
-  const std::type_info* pool_type_ = nullptr;
+  detail::TaskRunner<T, I> run_;
+  // Shared, like the buffers, so that Executor copies stay copies of one
+  // warm runtime; run_ points into the registry.
+  std::shared_ptr<WorkspaceRegistry> registry_ =
+      std::make_shared<WorkspaceRegistry>();
   std::shared_ptr<detail::DriverBuffers<T, I>> buffers_ =
       std::make_shared<detail::DriverBuffers<T, I>>();
   bool planned_ = false;
 };
 
 /// Plan-reuse convenience for iterative algorithms: execute() replans
-/// automatically when the operand structure or the config changes and runs
-/// the cached plan otherwise. Replans keep the workspace pool warm (same
-/// accumulator type => zero reallocation), which is exactly the k-truss /
-/// BFS-loop pattern where the matrix shrinks every few iterations.
+/// automatically when the operand structure or the config changes
+/// (compared canonically, so a field the plan ignores forces no replan)
+/// and runs the cached plan otherwise. Replans keep the workspace pool warm
+/// (same workspace type => zero reallocation), which is exactly the
+/// k-truss / BFS-loop pattern where the matrix shrinks every few
+/// iterations.
 template <Semiring SR, class T = typename SR::value_type,
           class I = std::int64_t>
 class PlanCache {
@@ -942,7 +986,8 @@ class PlanCache {
   Csr<T, I> execute_impl(const Csr<T, I>& mask, const Csr<T, I>& a,
                          const Csr<T, I>& b, const Config& config,
                          ExecutionStats* stats) {
-    if (!exec_.planned() || !(exec_.config() == config) ||
+    if (!exec_.planned() ||
+        !(detail::canonical(exec_.config()) == detail::canonical(config)) ||
         !exec_.matches(mask, a, b)) {
       exec_.plan(mask, a, b, config);
       ++replans_;

@@ -52,6 +52,18 @@ TEST_F(AutotuneBanditTest, CandidateArmsStartWithSubmittedAndDeduplicate) {
   }
   EXPECT_TRUE(has_blocked);
   EXPECT_TRUE(has_hybrid);
+
+  // A blocked submission at auto width runs the window whatever its
+  // accumulator and marker, so those sweeps add no arm: only the hybrid
+  // iteration space is left to try.
+  Config blocked;
+  blocked.mode = Strategy::kBlocked;
+  const std::vector<Config> blocked_arms =
+      candidate_arm_configs(blocked, blocked);
+  ASSERT_EQ(blocked_arms.size(), 2u);
+  EXPECT_TRUE(blocked_arms[0] == blocked);
+  EXPECT_EQ(blocked_arms[1].mode, Strategy::kBlocked);
+  EXPECT_EQ(blocked_arms[1].strategy, MaskStrategy::kHybrid);
 }
 
 TEST_F(AutotuneBanditTest, ConvergesOntoSyntheticBestArm) {
