@@ -352,7 +352,7 @@ I compute_block_cell(const BlockView<I>& mview, const BlockView<I>& bview,
       }
       for (std::size_t s = 0; s < mask_seg.size(); ++s) {
         const std::size_t q = detail::lower_bound_index(
-            b_seg, 0, mask_seg[s], metrics.binary_search_steps);
+            b_seg, mask_seg[s], metrics.binary_search_steps);
         if (q < b_seg.size() && b_seg[q] == mask_seg[s]) {
           ++metrics.flops;
           slots[s + 1] = SR::add(slots[s + 1], SR::mul(scale, b_vals[q]));

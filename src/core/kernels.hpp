@@ -113,27 +113,31 @@ struct KernelRowMetrics {
   }
 };
 
-/// lower_bound over `cols[from..)` that counts its halving steps — same
-/// algorithm as std::lower_bound, with the step count feeding the
-/// `binary_search_steps` counter. Returns the index of the first element
-/// >= key (cols.size() if none).
+/// Branch-free lower bound over `cols`: the index of the first element
+/// >= key (cols.size() if none), as std::lower_bound returns it. Each
+/// halving step is one load and one conditional move, so the co-iteration
+/// searches never mispredict and independent searches overlap in the core.
+/// A search over n >= 1 entries takes a fixed ceil(log2 n) halving steps
+/// plus one final compare, and adds that count to `steps` (the
+/// `binary_search_steps` counter) once.
 template <class I>
 [[nodiscard]] inline std::size_t lower_bound_index(std::span<const I> cols,
-                                                   std::size_t from, I key,
+                                                   I key,
                                                    std::uint64_t& steps) noexcept {
-  std::size_t lo = from;
-  std::size_t n = cols.size() - from;
-  while (n > 0) {
-    const std::size_t half = n / 2;
-    ++steps;
-    if (cols[lo + half] < key) {
-      lo += half + 1;
-      n -= half + 1;
-    } else {
-      n = half;
-    }
+  std::size_t n = cols.size();
+  if (n == 0) {
+    return 0;
   }
-  return lo;
+  const I* base = cols.data();
+  std::uint64_t taken = 1;  // the final compare
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = base[half] < key ? base + half : base;
+    n -= half;
+    ++taken;
+  }
+  steps += taken;
+  return static_cast<std::size_t>(base - cols.data()) + (*base < key ? 1 : 0);
 }
 
 }  // namespace detail
@@ -212,7 +216,7 @@ void row_coiterate(const Csr<T, I>& mask, const Csr<T, I>& a,
     for (const I j : mask_cols) {
       // Binary search j in B[k,:] (Fig 7 line 11).
       const std::size_t q = detail::lower_bound_index(
-          b_cols, 0, j, metrics.binary_search_steps);
+          b_cols, j, metrics.binary_search_steps);
       if (q < b_cols.size() && b_cols[q] == j) {
         ++metrics.flops;
         acc.accumulate(j, SR::mul(scale, b_vals[q]));
@@ -248,7 +252,7 @@ void row_hybrid(const Csr<T, I>& mask, const Csr<T, I>& a, const Csr<T, I>& b,
       ++metrics.hybrid_coiter_picks;
       for (const I j : mask_cols) {
         const std::size_t q = detail::lower_bound_index(
-            b_cols, 0, j, metrics.binary_search_steps);
+            b_cols, j, metrics.binary_search_steps);
         if (q < b_cols.size() && b_cols[q] == j) {
           ++metrics.flops;
           acc.accumulate(j, SR::mul(scale, b_vals[q]));

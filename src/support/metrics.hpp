@@ -79,7 +79,7 @@ struct MetricCounters {
   std::uint64_t explicit_reset_slots = 0;   ///< slots cleared by explicit (GrB) resets
   std::uint64_t accum_rehashes = 0;         ///< hash grow-and-rehash saturation responses
   std::uint64_t accum_degrades = 0;         ///< rows escalated to the dense fallback
-  std::uint64_t binary_search_steps = 0;    ///< halving steps in co-iteration searches
+  std::uint64_t binary_search_steps = 0;    ///< co-iteration search steps, ceil(log2 n)+1 each
   std::uint64_t hybrid_coiter_picks = 0;    ///< (i,k) pairs where hybrid chose co-iteration
   std::uint64_t hybrid_linear_picks = 0;    ///< (i,k) pairs where hybrid chose linear scan
   std::uint64_t tiles_created = 0;          ///< tiles produced by the tilers

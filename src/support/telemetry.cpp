@@ -287,7 +287,7 @@ void render_prometheus(std::string& out) {
   prom_value_u64(out, "tilq_accum_degrades", "counter",
                  "rows escalated to the dense fallback", c.accum_degrades);
   prom_value_u64(out, "tilq_binary_search_steps", "counter",
-                 "halving steps in co-iteration searches",
+                 "co-iteration search steps, ceil(log2 n)+1 per search",
                  c.binary_search_steps);
   prom_value_u64(out, "tilq_hybrid_coiter_picks", "counter",
                  "pairs where hybrid chose co-iteration",

@@ -819,6 +819,9 @@ TEST_F(EngineTest, TelemetryEnabledEngineStaysBitIdenticalAndRecordsFlights) {
 }
 
 TEST_F(EngineTest, TelemetryDisabledLeavesNoHub) {
+  // The engine applies the TILQ_TELEMETRY overlay at construction; pin it
+  // off so the suite can also run with telemetry switched on around it.
+  const test::ScopedEnv telemetry_off("TILQ_TELEMETRY", "0");
   Engine<SR> engine;
   EXPECT_EQ(engine.telemetry(), nullptr);
   const Problem p = make_problem(43);

@@ -1,13 +1,16 @@
 // Row-kernel tests: each of the four iteration strategies (Figs 3/5/7/9)
 // against the dense oracle at single-row granularity, with both accumulator
-// implementations, plus the hybrid switch behaviour at extreme κ.
+// implementations, the hybrid switch behaviour at extreme κ, and the
+// co-iteration search against std::lower_bound.
 #include "core/kernels.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -146,6 +149,64 @@ TEST(PreferCoiteration, Log2TableMatchesTheLog2Formula) {
                   formula(mask_nnz, b, kappa))
             << "mask_nnz " << mask_nnz << " b_nnz " << b << " kappa " << kappa;
       }
+    }
+  }
+}
+
+template <class Index>
+class LowerBoundIndex : public ::testing::Test {};
+
+using IndexTypes = ::testing::Types<std::int32_t, std::int64_t>;
+TYPED_TEST_SUITE(LowerBoundIndex, IndexTypes);
+
+TYPED_TEST(LowerBoundIndex, MatchesStdLowerBoundInAFixedStepCount) {
+  using Index = TypeParam;
+  // Seeded sorted rows: the empty row, one entry, every length up to 70
+  // and a few past a power of two; every other length draws from a value
+  // range narrower than the row, so it holds runs of equal keys.
+  Xoshiro256 rng(20240527);
+  std::vector<std::vector<Index>> rows = {{}, {Index{5}}};
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 2; n <= 70; ++n) {
+    lengths.push_back(n);
+  }
+  for (const std::size_t n : {255u, 256u, 257u, 1000u}) {
+    lengths.push_back(n);
+  }
+  for (const std::size_t n : lengths) {
+    const std::uint64_t range = n % 2 == 0 ? n / 3 + 1 : 4 * n;
+    std::vector<Index> row(n);
+    for (Index& v : row) {
+      v = static_cast<Index>(rng.uniform_below(range));
+    }
+    std::ranges::sort(row);
+    rows.push_back(std::move(row));
+  }
+  for (const std::vector<Index>& row : rows) {
+    // A search over n >= 1 entries takes ceil(log2 n) = bit_width(n - 1)
+    // halving steps plus the final compare, whatever the key.
+    const std::uint64_t want_steps =
+        row.empty()
+            ? 0
+            : static_cast<std::uint64_t>(std::bit_width(row.size() - 1)) + 1;
+    // Keys below and above every entry, each entry and its neighbours
+    // (the ends of every run), and random keys in and past the range.
+    std::vector<Index> keys = {Index{-1}, Index{0}};
+    for (const Index v : row) {
+      keys.insert(keys.end(), {static_cast<Index>(v - 1), v,
+                               static_cast<Index>(v + 1)});
+    }
+    for (int r = 0; r < 16; ++r) {
+      keys.push_back(static_cast<Index>(rng.uniform_below(5 * row.size() + 8)));
+    }
+    for (const Index key : keys) {
+      std::uint64_t steps = 3;  // the search adds to what is there
+      const std::size_t got = detail::lower_bound_index(
+          std::span<const Index>(row), key, steps);
+      const auto want = static_cast<std::size_t>(
+          std::ranges::lower_bound(row, key) - row.begin());
+      ASSERT_EQ(got, want) << "n " << row.size() << " key " << key;
+      ASSERT_EQ(steps - 3, want_steps) << "n " << row.size() << " key " << key;
     }
   }
 }

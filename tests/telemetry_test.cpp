@@ -16,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include "test_util.hpp"
+
 #if defined(__unix__) || defined(__APPLE__)
 #define TILQ_TEST_HAVE_SOCKETS 1
 #include <netinet/in.h>
@@ -28,30 +30,7 @@
 namespace tilq {
 namespace {
 
-/// Scoped setenv/unsetenv so env tests cannot leak into each other.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) {
-      old_ = old;
-      had_old_ = true;
-    }
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), /*overwrite=*/1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
+using test::ScopedEnv;
 
 TEST(FlightRecorderTest, RecordsEventsInOrderWithFields) {
   FlightRecorder recorder(64);

@@ -1,5 +1,6 @@
 // Shared test utilities: the dense reference oracle for the masked product,
-// random sparse matrix builders, and comparison helpers. The oracle shares
+// random sparse matrix builders, comparison helpers, and a scoped
+// environment override. The oracle shares
 // no code with the sparse kernels (it multiplies dense expansions), so
 // agreement is meaningful evidence of correctness.
 #pragma once
@@ -7,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "core/semiring.hpp"
@@ -69,6 +72,35 @@ Csr<T, I> random_matrix(I rows, I cols, double density, std::uint64_t seed) {
   }
   return build_csr(coo, DupPolicy::kError);
 }
+
+/// Scoped setenv/unsetenv so a test's environment cannot leak into the
+/// next test, and a variable set around the suite (CI runs engine_test
+/// with TILQ_TELEMETRY set) cannot leak into a test that pins it.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    if (old != nullptr) {
+      old_ = old;
+      had_old_ = true;
+    }
+    ::setenv(name, value, /*overwrite=*/1);
+  }
+  ~ScopedEnv() {
+    if (had_old_) {
+      ::setenv(name_.c_str(), old_.c_str(), /*overwrite=*/1);
+    } else {
+      ::unsetenv(name_.c_str());
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  std::string name_;
+  std::string old_;
+  bool had_old_ = false;
+};
 
 /// GoogleTest helper: asserts two CSR matrices are identical (shape,
 /// pattern, values) with a readable failure message.
