@@ -1,8 +1,8 @@
 // Shared test utilities: the dense reference oracle for the masked product,
 // random sparse matrix builders, comparison helpers, and a scoped
-// environment override. The oracle shares
-// no code with the sparse kernels (it multiplies dense expansions), so
-// agreement is meaningful evidence of correctness.
+// environment override. The oracle shares no code with the sparse kernels
+// (it multiplies dense expansions), so agreement is meaningful evidence of
+// correctness.
 #pragma once
 
 #include <gtest/gtest.h>
